@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import combinat, oracle, quotient
 from .combinat import ResourceLimitError, check_vector, enumerate_dyck, is_dyck
-from .poly import Polynomial
+from .poly import Polynomial, random_polynomial
 from .qsym import f_product, fundamental_qsym, monomial_qsym
 
 
@@ -160,10 +160,6 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 # rendering
 
 
-def _coeff_text(value: Fraction) -> str:
-    return str(value)
-
-
 def render_polynomial(p: Polynomial) -> str:
     """Canonical text form: terms in descending graded lex; parses back to p."""
     if p.is_zero():
@@ -178,11 +174,11 @@ def render_polynomial(p: Polynomial) -> str:
                 factors.append(f"x{i}^{e}")
         magnitude = abs(coeff)
         if not factors:
-            body = _coeff_text(magnitude)
+            body = str(magnitude)
         elif magnitude == 1:
             body = "*".join(factors)
         else:
-            body = f"{_coeff_text(magnitude)}*" + "*".join(factors)
+            body = f"{magnitude}*" + "*".join(factors)
         if not pieces:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
@@ -218,7 +214,7 @@ def _polynomial_record(name, p, **extra):
     record = {
         "n": p.n,
         "operation": name,
-        "terms": [{"coeff": _coeff_text(c), "exps": list(e)} for e, c in p.sorted_terms()],
+        "terms": [{"coeff": str(c), "exps": list(e)} for e, c in p.sorted_terms()],
     }
     record.update(extra)
     return record
@@ -309,7 +305,7 @@ def cmd_gbasis(args) -> int:
     exps, coeff = poly.leading_monomial()
     record = _polynomial_record(
         "gbasis", poly,
-        leading={"coeff": _coeff_text(coeff), "exps": list(exps)})
+        leading={"coeff": str(coeff), "exps": list(exps)})
     text = "\n".join([
         render_polynomial(poly),
         f"leading monomial: {render_polynomial(Polynomial.monomial(args.n, exps, coeff))}",
@@ -321,14 +317,14 @@ def cmd_gbasis(args) -> int:
 def cmd_reduce(args) -> int:
     p = parse_polynomial(_expression(args), args.n)
     result = quotient.normal_form(p)
-    certificate = [{"coeff": _coeff_text(c), "eps": list(e)}
+    certificate = [{"coeff": str(c), "eps": list(e)}
                    for c, e in result.certificate]
     record = _polynomial_record("reduce", result.remainder, certificate=certificate)
     lines = [render_polynomial(result.remainder)]
     if args.certificate:
         lines.append("certificate:")
         for c, e in result.certificate:
-            lines.append(f"  {_coeff_text(c)} * G_{','.join(str(x) for x in e)}")
+            lines.append(f"  {c} * G_{','.join(str(x) for x in e)}")
     _emit(args, record, "\n".join(lines))
     return 0
 
@@ -413,7 +409,7 @@ def _verify_checks(n, max_degree, long_run):
     degree_top = min(max_degree, n + 1)
     bad = []
     for _ in range(25):
-        p = _random_polynomial(rng, n, degree_top)
+        p = random_polynomial(rng, n, degree_top)
         result = basis.normal_form(p)
         rebuilt = result.remainder
         for coeff, eps in result.certificate:
@@ -435,17 +431,6 @@ def _verify_checks(n, max_degree, long_run):
                    if not basis.normal_form(Polynomial.monomial(n, v)).remainder.is_zero()]
         check("degree-n-vanishing", not residue, f"failures: {residue[:5]}")
     return checks, failures
-
-
-def _random_polynomial(rng, n, max_degree, max_terms=8):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        d = rng.randint(0, max_degree)
-        exps = [0] * n
-        for _ in range(d):
-            exps[rng.randrange(n)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return Polynomial(n, terms)
 
 
 def cmd_verify(args) -> int:

@@ -8,7 +8,6 @@ direct Dyck-vector enumeration, and the closed-form generating function.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
 from . import combinat
@@ -86,27 +85,6 @@ def fraction_free_rank(rows, ncols: int) -> int:
         if space.rank == ncols:
             break
     return space.rank
-
-
-def rational_rank(rows, ncols: int) -> int:
-    """Plain Gaussian elimination over Fraction; cross-check for the
-    fraction-free route."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col] / lead
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == min(len(mat), ncols):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,23 @@ class Polynomial:
         return f"Polynomial({self.n}, {body})"
 
 
+def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 8) -> Polynomial:
+    """A seeded random polynomial drawn from ``rng`` (a ``random.Random``).
+
+    Up to ``max_terms`` terms, each a monomial of degree at most
+    ``max_degree`` with coefficient p/q, -9 <= p <= 9 and 1 <= q <= 9; a
+    repeated monomial keeps its last coefficient.
+    """
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        d = rng.randint(0, max_degree)
+        exps = [0] * n
+        for _ in range(d):
+            exps[rng.randrange(n)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Polynomial(n, terms)
+
+
 def diff_pairing(p: Polynomial, q: Polynomial) -> Fraction:
     """Apply ``p`` as a differential operator to ``q`` and evaluate at zero:
     the bilinear form with <X^nu, X^mu> = 0 for nu != mu and

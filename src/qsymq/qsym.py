@@ -1,8 +1,9 @@
 """Monomial and fundamental quasi-symmetric polynomials in n variables.
 
 ``monomial_qsym`` spreads the parts of a composition over all increasing
-position choices; ``fundamental_qsym`` sums the monomial elements over all
-refinements.  Products of fundamentals are computed combinatorially through
+position choices; ``fundamental_qsym`` sums the monomial elements over the
+refinements with at most ``n`` parts, the only ones nonzero in ``n``
+variables.  Products of fundamentals are computed combinatorially through
 shuffles of descent words, with direct polynomial multiplication kept as the
 testing oracle.
 """
@@ -15,7 +16,7 @@ from .combinat import (
     canonical_descent_word,
     check_composition,
     composition_from_subset,
-    refinements,
+    descent_set,
     shuffles,
     word_descent_set,
     zero_erasure,
@@ -43,16 +44,26 @@ def monomial_qsym(alpha, n: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _fundamental(alpha, n):
-    total = Polynomial.zero(n)
-    for beta in refinements(alpha):
-        total = total + monomial_qsym(beta, n)
-    return total
+    # refinements add cuts to D(alpha); those with more than n parts vanish,
+    # and distinct refinements have disjoint supports
+    d = sum(alpha)
+    base = descent_set(alpha)
+    free = sorted(set(range(1, d)) - base)
+    terms = {}
+    for r in range(min(len(free), n - len(alpha)) + 1):
+        for extra in combinations(free, r):
+            beta = composition_from_subset(base | set(extra), d)
+            terms.update(monomial_qsym(beta, n).items())
+    return Polynomial(n, terms)
 
 
 def fundamental_qsym(alpha, n: int) -> Polynomial:
     """F_alpha in n variables: the sum of M_beta over all refinements beta.
 
-    Cached per (alpha, n); polynomials are immutable so sharing is safe.
+    Only refinements with at most n parts are summed, since the others are
+    zero in n variables, so the cost is bounded by the number of terms
+    rather than by the 2 ** (|alpha| - len(alpha)) refinements.  Cached per
+    (alpha, n); polynomials are immutable so sharing is safe.
     """
     alpha = check_composition(alpha)
     if n < 1:

@@ -11,7 +11,10 @@ the entry right after that zero, ``beta`` the positive tail) and recurse:
 
 Reducing the graded-lex-greatest transdiagonal monomial of a polynomial by
 the matching G element, repeatedly, yields a unique remainder supported on
-Dyck vectors together with an exact membership certificate.
+Dyck vectors together with an exact membership certificate.  Every other term
+of ``G_eps`` lies strictly below ``X^eps`` in the same degree, so each degree
+slice is a triangular system, and ``GBasis.normal_form`` walks each slice
+that holds a transdiagonal term once, from the top.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from .combinat import (
     last_nonzero,
     vectors_of_degree,
 )
-from .poly import Polynomial, graded_lex_key
+from .poly import Polynomial
 from .qsym import fundamental_qsym
 
 
@@ -124,32 +127,22 @@ class ReductionResult:
 class GBasis:
     """G elements for a fixed number of variables, memoized by index.
 
-    The memo is unbounded by default; ``max_entries`` caps it (further
-    elements are computed but not retained).  Entries are immutable
-    polynomials inserted whole, so concurrent readers always observe results
-    identical to recomputation.
+    Entries are immutable polynomials inserted whole, so concurrent readers
+    always observe results identical to recomputation.
     """
 
-    def __init__(self, n: int, max_entries: int | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        self.max_entries = max_entries
         self._memo: dict[tuple, Polynomial] = {}
-        self._dyck: dict[tuple, bool] = {}
-
-    def _is_dyck(self, nu) -> bool:
-        hit = self._dyck.get(nu)
-        if hit is None:
-            hit = self._dyck[nu] = is_dyck(nu)
-        return hit
 
     def g(self, eps) -> Polynomial:
         """The G element indexed by a transdiagonal vector of length n."""
         eps = check_vector(eps)
         if len(eps) != self.n:
             raise ValueError(f"index {eps} has length != {self.n}")
-        if self._is_dyck(eps):
+        if is_dyck(eps):
             raise ValueError(f"{eps} is Dyck; G elements are indexed by "
                              "transdiagonal vectors")
         return self._g(eps)
@@ -165,11 +158,10 @@ class GBasis:
             pad = (0,) * (self.n - split.k - len(split.beta))
             left = split.w + (split.a,) + split.beta + pad
             right = split.w + (split.a - 1,) + split.beta + pad
-            assert not self._is_dyck(left) and not self._is_dyck(right)
+            assert not is_dyck(left) and not is_dyck(right)
             result = self._g(left) - Polynomial.variable(self.n, split.k) * self._g(right)
         assert result.is_homogeneous()
-        if self.max_entries is None or len(self._memo) < self.max_entries:
-            self._memo[eps] = result
+        self._memo[eps] = result
         return result
 
     def normal_form(self, p: Polynomial) -> ReductionResult:
@@ -177,31 +169,29 @@ class GBasis:
 
         Each step cancels the graded-lex-greatest transdiagonal monomial in
         the support against its G element, so the result and certificate are
-        deterministic; homogeneous components reduce independently.
+        deterministic.  The terms a step adds have the same degree and lie
+        below the cancelled one, so the steps come from one descending walk
+        over each degree slice that holds a transdiagonal term, highest
+        degree first; slices with only Dyck terms are never enumerated.
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables, basis has {self.n}")
         work = dict(p.items())
         certificate = []
-        while True:
-            eps = None
-            key = None
-            for exps in work:
-                if not self._is_dyck(exps):
-                    k = graded_lex_key(exps)
-                    if key is None or k > key:
-                        eps, key = exps, k
-            if eps is None:
-                break
-            coeff = work[eps]
-            for exps, c in self._g(eps).items():
-                new = work.get(exps, 0) - coeff * c
-                if new:
-                    work[exps] = new
-                else:
-                    work.pop(exps, None)
-            assert eps not in work  # the G element cancels its own index
-            certificate.append((coeff, eps))
+        degrees = {sum(e) for e in work if not is_dyck(e)}
+        for d in sorted(degrees, reverse=True):
+            for eps in reversed(list(vectors_of_degree(self.n, d))):
+                coeff = work.get(eps)
+                if coeff is None or is_dyck(eps):
+                    continue
+                for exps, c in self._g(eps).items():
+                    new = work.get(exps, 0) - coeff * c
+                    if new:
+                        work[exps] = new
+                    else:
+                        work.pop(exps, None)
+                assert eps not in work  # the G element cancels its own index
+                certificate.append((coeff, eps))
         return ReductionResult(Polynomial(self.n, work), certificate)
 
     def is_member(self, p: Polynomial) -> bool:

@@ -51,14 +51,6 @@ def random_vector(rng: random.Random, n, degree):
     return tuple(exps)
 
 
-def random_polynomial(rng: random.Random, n, max_degree, max_terms=8):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = random_vector(rng, n, rng.randint(0, max_degree))
-        terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return Polynomial(n, terms)
-
-
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

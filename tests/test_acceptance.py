@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_polynomial, random_vector
+from conftest import random_vector
 from qsymq import cli, oracle, quotient
 from qsymq.combinat import (
     ballot,
@@ -25,7 +25,7 @@ from qsymq.combinat import (
     is_dyck,
     path_statistics,
 )
-from qsymq.poly import Polynomial
+from qsymq.poly import Polynomial, random_polynomial
 from qsymq.qsym import f_product, fundamental_qsym
 from qsymq.quotient import enumerate_transdiagonal, shared_basis
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -258,3 +259,35 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1 5 14 28 42 42"
+
+
+class TestPolynomialCost:
+    """Inputs whose cost once grew with 2 ** degree or with a whole degree
+    slice that holds no transdiagonal term; each must finish well inside
+    the timeout."""
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qsymq", *argv],
+                              capture_output=True, text=True, timeout=10)
+
+    def test_dyck_only_slice_not_enumerated(self):
+        proc = self.run("reduce", "-n", "16", "--expr", "x1+x16^15")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "x16^15 - " + " - ".join(
+            f"x{i}" for i in range(2, 17))
+
+    def test_reduce_high_power(self):
+        proc = self.run("reduce", "-n", "3", "--expr", "x1^18")
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+    def test_member_high_power(self):
+        proc = self.run("member", "-n", "3", "--expr", "x1^18")
+        assert proc.returncode == 0 and proc.stdout.strip() == "in ideal"
+
+    def test_fundamental_high_degree(self):
+        proc = self.run("qsym", "-n", "3", "--fundamental", "22", "--json")
+        assert proc.returncode == 0
+        terms = json.loads(proc.stdout)["terms"]
+        assert len(terms) == comb(24, 2)
+        assert all(t["coeff"] == "1" for t in terms)

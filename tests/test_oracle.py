@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from qsymq.oracle import (
     ideal_degree_rank,
     quotient_dims,
     rank_report,
-    rational_rank,
     row_space_member,
 )
 from qsymq.poly import Polynomial
@@ -28,6 +29,27 @@ HILBERT_TABLE = {
     6: (1, 5, 14, 28, 42, 42),
     7: (1, 6, 20, 48, 90, 132, 132),
 }
+
+
+def rational_rank(rows, ncols: int) -> int:
+    """Plain Gaussian elimination over Fraction; cross-check for the
+    fraction-free route."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col] / lead
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == min(len(mat), ncols):
+            break
+    return rank
 
 
 class TestRank:

@@ -75,6 +75,16 @@ class TestFundamentalBasis:
             fresh = fresh + monomial_qsym(beta, n)
         assert fundamental_qsym(alpha, n) == fresh
 
+    def test_matches_unpruned_refinement_sum(self):
+        # refinements with more than n parts are skipped, not summed as zero
+        for n in range(1, 5):
+            for d in range(8):
+                for alpha in compositions_of(d):
+                    full = Polynomial.zero(n)
+                    for beta in refinements(alpha):
+                        full = full + monomial_qsym(beta, n)
+                    assert fundamental_qsym(alpha, n) == full, (alpha, n)
+
     def test_mobius_inversion(self):
         # M_alpha recovered from the fundamentals by signed inclusion-exclusion
         n = 8

@@ -4,10 +4,11 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import polynomials, random_polynomial, random_vector
+from conftest import polynomials, random_vector
 from qsymq.combinat import ballot, compositions_of, enumerate_dyck, is_dyck, vectors_of_degree
-from qsymq.poly import Polynomial
+from qsymq.poly import Polynomial, graded_lex_key, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import (
     BaseCase,
@@ -92,13 +93,6 @@ class TestGElements:
             assert poly.is_homogeneous()
             assert poly.degree() == sum(eps)
 
-    def test_memo_cap(self):
-        capped = GBasis(4, max_entries=2)
-        full = GBasis(4)
-        for eps in enumerate_transdiagonal(4, 3):
-            assert capped.g(eps) == full.g(eps)
-        assert len(capped._memo) <= 2
-
 
 class TestRewriteRules:
     def test_insertion_pattern(self):
@@ -135,6 +129,73 @@ class TestRewriteRules:
                 assert not is_dyck(plus) and not is_dyck(minus)
                 lhs = Polynomial.variable(n, k) * basis.g(phi)
                 assert lhs == basis.g(plus) - basis.g(minus), (k, phi)
+
+
+def reference_normal_form(basis, p):
+    """The greedy reduction spelled out: rescan the whole support for the
+    graded-lex-greatest transdiagonal monomial at every step."""
+    work = dict(p.items())
+    certificate = []
+    while True:
+        eps = None
+        key = None
+        for exps in work:
+            if not is_dyck(exps):
+                k = graded_lex_key(exps)
+                if key is None or k > key:
+                    eps, key = exps, k
+        if eps is None:
+            break
+        coeff = work[eps]
+        for exps, c in basis.g(eps).items():
+            new = work.get(exps, 0) - coeff * c
+            if new:
+                work[exps] = new
+            else:
+                work.pop(exps, None)
+        assert eps not in work
+        certificate.append((coeff, eps))
+    return Polynomial(basis.n, work), certificate
+
+
+@st.composite
+def small_polynomials(draw):
+    n = draw(st.integers(1, 5))
+    return draw(polynomials(n=n, max_degree=n + 1))
+
+
+class TestAgainstGreedyRescan:
+    @given(small_polynomials())
+    def test_hypothesis_polynomials(self, p):
+        basis = shared_basis(p.n)
+        result = basis.normal_form(p)
+        remainder, certificate = reference_normal_form(basis, p)
+        assert result.remainder == remainder
+        assert result.certificate == certificate
+
+    def test_seeded_polynomials(self, rng):
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            basis = shared_basis(n)
+            p = random_polynomial(rng, n, max_degree=n + 1, max_terms=12)
+            result = basis.normal_form(p)
+            remainder, certificate = reference_normal_form(basis, p)
+            assert result.remainder == remainder
+            assert result.certificate == certificate
+
+    def test_dense_products(self, rng):
+        # products of linear forms fill whole degree slices, so each step
+        # adds many new transdiagonal terms below the one it cancels
+        for n in range(2, 6):
+            basis = shared_basis(n)
+            p = Polynomial.constant(n, 1)
+            for _ in range(n):
+                form = {random_vector(rng, n, 1): rng.randint(1, 7) for _ in range(n)}
+                p = p * Polynomial(n, form)
+            result = basis.normal_form(p)
+            remainder, certificate = reference_normal_form(basis, p)
+            assert result.remainder == remainder
+            assert result.certificate == certificate
 
 
 class TestNormalForm:
