@@ -194,12 +194,8 @@ class Polynomial:
 
 
 def random_polynomial(rng, n: int, max_degree: int, max_terms: int = 8) -> Polynomial:
-    """A seeded random polynomial drawn from ``rng`` (a ``random.Random``).
-
-    Up to ``max_terms`` terms, each a monomial of degree at most
-    ``max_degree`` with coefficient p/q, -9 <= p <= 9 and 1 <= q <= 9; a
-    repeated monomial keeps its last coefficient.
-    """
+    """Up to ``max_terms`` random terms of degree <= ``max_degree``, drawn
+    from ``rng``, with coefficients p/q for -9 <= p <= 9 and 1 <= q <= 9."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         d = rng.randint(0, max_degree)

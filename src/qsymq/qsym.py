@@ -1,11 +1,10 @@
 """Monomial and fundamental quasi-symmetric polynomials in n variables.
 
 ``monomial_qsym`` spreads the parts of a composition over all increasing
-position choices; ``fundamental_qsym`` sums the monomial elements over the
-refinements with at most ``n`` parts, the only ones nonzero in ``n``
-variables.  Products of fundamentals are computed combinatorially through
-shuffles of descent words, with direct polynomial multiplication kept as the
-testing oracle.
+position choices; ``fundamental_qsym`` sums them over the refinements with
+at most ``n`` parts, the only nonzero ones.  Products of fundamentals are
+computed combinatorially through shuffles of descent words, with direct
+polynomial multiplication kept as the testing oracle.
 """
 
 from functools import lru_cache
@@ -44,10 +43,8 @@ def monomial_qsym(alpha, n: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _fundamental(alpha, n):
-    # refinements add cuts to D(alpha); those with more than n parts vanish,
-    # and distinct refinements have disjoint supports
-    d = sum(alpha)
-    base = descent_set(alpha)
+    # refinements with more than n parts vanish; the rest have disjoint supports
+    d, base = sum(alpha), descent_set(alpha)
     free = sorted(set(range(1, d)) - base)
     terms = {}
     for r in range(min(len(free), n - len(alpha)) + 1):
@@ -60,9 +57,8 @@ def _fundamental(alpha, n):
 def fundamental_qsym(alpha, n: int) -> Polynomial:
     """F_alpha in n variables: the sum of M_beta over all refinements beta.
 
-    Only refinements with at most n parts are summed, since the others are
-    zero in n variables, so the cost is bounded by the number of terms
-    rather than by the 2 ** (|alpha| - len(alpha)) refinements.  Cached per
+    Only the refinements with at most n parts are summed, so the cost follows
+    the number of terms, not 2 ** (|alpha| - len(alpha)).  Cached per
     (alpha, n); polynomials are immutable so sharing is safe.
     """
     alpha = check_composition(alpha)

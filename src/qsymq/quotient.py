@@ -11,14 +11,14 @@ the entry right after that zero, ``beta`` the positive tail) and recurse:
 
 Reducing the graded-lex-greatest transdiagonal monomial of a polynomial by
 the matching G element, repeatedly, yields a unique remainder supported on
-Dyck vectors together with an exact membership certificate.  Every other term
-of ``G_eps`` lies strictly below ``X^eps`` in the same degree, so each degree
-slice is a triangular system, and ``GBasis.normal_form`` walks each slice
-that holds a transdiagonal term once, from the top.
+Dyck vectors together with an exact membership certificate; a max-heap
+hands ``GBasis.normal_form`` the transdiagonal terms in that order.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 
 from .combinat import (
     check_vector,
@@ -169,29 +169,33 @@ class GBasis:
 
         Each step cancels the graded-lex-greatest transdiagonal monomial in
         the support against its G element, so the result and certificate are
-        deterministic.  The terms a step adds have the same degree and lie
-        below the cancelled one, so the steps come from one descending walk
-        over each degree slice that holds a transdiagonal term, highest
-        degree first; slices with only Dyck terms are never enumerated.
+        deterministic.  A step adds terms only below the cancelled one, so a
+        max-heap of the transdiagonal terms present visits each at most once.
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables, basis has {self.n}")
         work = dict(p.items())
         certificate = []
-        degrees = {sum(e) for e in work if not is_dyck(e)}
-        for d in sorted(degrees, reverse=True):
-            for eps in reversed(list(vectors_of_degree(self.n, d))):
-                coeff = work.get(eps)
-                if coeff is None or is_dyck(eps):
-                    continue
-                for exps, c in self._g(eps).items():
-                    new = work.get(exps, 0) - coeff * c
-                    if new:
-                        work[exps] = new
-                    else:
-                        work.pop(exps, None)
-                assert eps not in work  # the G element cancels its own index
-                certificate.append((coeff, eps))
+        # entries (-degree, -eps, eps): the min-heap pops the greatest first
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in work if not is_dyck(e)]
+        heapq.heapify(heap)
+        while heap:
+            *_, eps = heapq.heappop(heap)
+            coeff = work.get(eps)
+            if coeff is None:  # cancelled since it was pushed, or a duplicate
+                continue
+            minus = -coeff
+            for exps, c in self._g(eps).items():
+                old = work.get(exps)
+                new = minus * c if old is None else old + minus * c
+                if new:
+                    work[exps] = new
+                    if old is None and not is_dyck(exps):
+                        heapq.heappush(heap, (-sum(exps), tuple(map(neg, exps)), exps))
+                else:
+                    del work[exps]
+            assert eps not in work  # the G element cancels its own index
+            certificate.append((coeff, eps))
         return ReductionResult(Polynomial(self.n, work), certificate)
 
     def is_member(self, p: Polynomial) -> bool:

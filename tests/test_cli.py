@@ -262,9 +262,9 @@ class TestExitCodes:
 
 
 class TestPolynomialCost:
-    """Inputs whose cost once grew with 2 ** degree or with a whole degree
-    slice that holds no transdiagonal term; each must finish well inside
-    the timeout."""
+    """Inputs whose cost once grew with 2 ** degree or with the size of a
+    whole degree slice rather than the terms present; each must finish well
+    inside the timeout."""
 
     @staticmethod
     def run(*argv):
@@ -276,6 +276,12 @@ class TestPolynomialCost:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "x16^15 - " + " - ".join(
             f"x{i}" for i in range(2, 17))
+
+    def test_transdiagonal_term_in_wide_slice(self):
+        # G_(1^16) is the single monomial x1...x16, out of C(31, 15) vectors
+        expr = "*".join(f"x{i}" for i in range(1, 17))
+        proc = self.run("reduce", "-n", "16", "--expr", expr)
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
 
     def test_reduce_high_power(self):
         proc = self.run("reduce", "-n", "3", "--expr", "x1^18")
