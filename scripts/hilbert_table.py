@@ -2,8 +2,9 @@
 """Print the graded dimensions of the quotient for n = 1..7, three ways.
 
 The formula route uses ballot numbers, the enumeration route counts Dyck
-vectors per degree, and the oracle route (n <= 6) recomputes every dimension
-by exact fraction-free elimination.
+vectors per degree, and the oracle route recomputes every dimension by exact
+fraction-free elimination for n up to the oracle cap (6, or QSYMQ_MAX_N when
+that is larger; the other n print "(capped)").
 """
 
 import time

@@ -13,8 +13,10 @@ omitted and are padded to ``n``.
 
 JSON output schema: ``{"n": int, "operation": str,
 "terms": [{"coeff": "p/q", "exps": [..]}],
-"certificate": [{"coeff": "p/q", "eps": [..]}]?, "series": [int..]?}``
-with coefficients rendered as exact text.
+"certificate": [{"coeff": "p/q", "eps": [..]}]?, "series": [int..]?,
+"report": [{"degree", "columns", "generator_rows", "rank", "dimension"}]?}``
+with coefficients rendered as exact text; ``report`` comes from
+``hilbert --method oracle --report``.
 
 Exit codes: 0 success, 1 usage error, 2 expression parse error,
 3 verification mismatch or negative membership verdict.
@@ -277,8 +279,11 @@ def cmd_hilbert(args) -> int:
     series = oracle.hilbert_series(args.n, args.method)
     record = {"n": args.n, "operation": "hilbert", "method": args.method,
               "series": list(series.coefficients)}
+    report = args.report and args.method == "oracle"
+    if report and args.json:
+        record["report"] = [oracle.rank_record(args.n, d) for d in range(args.n)]
     _emit(args, record, str(series))
-    if args.report and args.method == "oracle" and not args.json:
+    if report and not args.json:
         for d in range(args.n):
             print(oracle.rank_report(args.n, d))
     return 0

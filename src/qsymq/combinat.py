@@ -21,6 +21,9 @@ ExponentVector = tuple[int, ...]
 COUNTING_CAP = 20
 ENUMERATION_CAP = 12
 ORACLE_CAP = 6
+# Terms of one F_alpha, or shuffle words of one F product, built per request.
+# A count, not an n, so QSYMQ_MAX_N does not raise it.
+SIZE_CAP = 100_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -44,6 +47,11 @@ def _check_cap(n: int, default: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} capped at n <= {cap} (set QSYMQ_MAX_N to raise); got n = {n}"
         )
+
+
+def check_size(count: int, what: str) -> None:
+    if count > SIZE_CAP:
+        raise ResourceLimitError(f"more than {SIZE_CAP} {what}")
 
 
 class PathClass(enum.Enum):

@@ -2,13 +2,16 @@
 
 The degree-d slice of the ideal is spanned by monomial multiples of the
 monomial quasi-symmetric generators; its rank over Q, computed by
-fraction-free integer elimination, gives the quotient dimension as
-(#monomials of degree d) - rank.  Cross-checks: the ballot-number formula,
-direct Dyck-vector enumeration, and the closed-form generating function.
+fraction-free integer elimination on sparse rows ``{column: nonzero int}``,
+gives the quotient dimension as (#monomials of degree d) - rank.  A
+generator row X^mu * M_alpha has only C(n, len(alpha)) nonzeros, so rows
+stay sparse throughout.  Cross-checks: the ballot-number formula, direct
+Dyck-vector enumeration, and the closed-form generating function.
 """
 
 from dataclasses import dataclass
-from math import comb, gcd
+from heapq import heapify, heappop, heappush
+from math import comb, gcd, lcm
 
 from . import combinat
 from .combinat import ResourceLimitError, ballot, compositions_of, desk_cap, vectors_of_degree
@@ -22,69 +25,75 @@ from .poly import Polynomial, graded_lex_key
 class IntegerRowSpace:
     """Incremental row space over Z with fraction-free reduction.
 
-    Pivot rows are kept primitive (content stripped, positive leading entry)
-    and ordered by pivot column, so ranks and reduced rows are deterministic.
+    Rows are sparse dicts ``{column: int}``.  ``pivots`` maps each pivot
+    column to its primitive row (content stripped), which is positive at that
+    column and zero to the left of it, so ranks and reduced rows are
+    deterministic.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_cols: list[int] = []
-        self.rows: list[list[int]] = []
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    @staticmethod
-    def _strip(row):
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            row = [x // g for x in row]
-        return row
-
-    def reduce(self, row) -> list[int]:
-        """Eliminate all pivot columns from ``row`` (fraction-free)."""
-        row = list(row)
-        if len(row) != self.ncols:
-            raise ValueError(f"row has {len(row)} columns, expected {self.ncols}")
-        for pcol, prow in zip(self.pivot_cols, self.rows):
-            x = row[pcol]
-            if x:
-                lead = prow[pcol]
-                row = [lead * a - x * b for a, b in zip(row, prow)]
-                row = self._strip(row)
+    def reduce(self, row) -> dict[int, int]:
+        """Eliminate all pivot columns from ``row`` (fraction-free), lowest first."""
+        row = {col: x for col, x in row.items() if x}
+        if row and not 0 <= min(row) <= max(row) < self.ncols:
+            raise ValueError(f"row has a column outside [0, {self.ncols})")
+        pivots = self.pivots
+        todo = [col for col in row if col in pivots]
+        heapify(todo)
+        while todo:
+            pcol = heappop(todo)
+            x = row.get(pcol)
+            if x is None:  # cancelled since it was pushed
+                continue
+            prow = pivots[pcol]
+            lead = prow[pcol]
+            if lead != 1:
+                for col in row:
+                    row[col] *= lead
+            for col, b in prow.items():
+                y = row.pop(col, 0)
+                if not y and col in pivots:  # fill-in, right of pcol
+                    heappush(todo, col)
+                y -= x * b
+                if y:
+                    row[col] = y
+            g = gcd(*row.values())
+            if g > 1:
+                row = {col: y // g for col, y in row.items()}
         return row
 
     def add(self, row) -> bool:
         """Insert a row; True if it enlarged the space."""
         row = self.reduce(row)
-        for col, x in enumerate(row):
-            if x:
-                if x < 0:
-                    row = [-y for y in row]
-                at = 0
-                while at < len(self.pivot_cols) and self.pivot_cols[at] < col:
-                    at += 1
-                self.pivot_cols.insert(at, col)
-                self.rows.insert(at, row)
-                return True
-        return False
+        if not row:
+            return False
+        col = min(row)
+        if row[col] < 0:
+            row = {c: -x for c, x in row.items()}
+        self.pivots[col] = row
+        return True
+
+    def add_until_full(self, rows) -> "IntegerRowSpace":
+        """Add rows in order, stopping once the rank reaches ``ncols``."""
+        for row in rows:
+            if self.rank == self.ncols:
+                break
+            self.add(row)
+        return self
 
     def contains(self, row) -> bool:
-        return not any(self.reduce(row))
+        return not self.reduce(row)
 
 
 def fraction_free_rank(rows, ncols: int) -> int:
-    space = IntegerRowSpace(ncols)
-    for row in rows:
-        space.add(row)
-        if space.rank == ncols:
-            break
-    return space.rank
+    return IntegerRowSpace(ncols).add_until_full(rows).rank
 
 
 # ---------------------------------------------------------------------------
@@ -120,39 +129,31 @@ def slice_generators(n: int, d: int):
     return out
 
 
-def _generator_rows(n: int, d: int, columns):
+def _generator_rows(n: int, d: int, index):
     from .qsym import monomial_qsym
 
-    index = {exps: i for i, exps in enumerate(columns)}
     for mu, alpha in slice_generators(n, d):
-        row = [0] * len(columns)
-        for exps, coeff in monomial_qsym(alpha, n).items():
-            shifted = tuple(a + b for a, b in zip(mu, exps))
-            row[index[shifted]] = int(coeff)
-        yield row
+        yield {index[tuple(a + b for a, b in zip(mu, exps))]: int(coeff)
+               for exps, coeff in monomial_qsym(alpha, n).items()}
 
 
-_slice_cache: dict[tuple, IntegerRowSpace] = {}
+_slice_cache: dict[tuple, tuple[IntegerRowSpace, dict]] = {}
 
 
-def _slice_space(n: int, d: int) -> IntegerRowSpace:
+def _slice(n: int, d: int) -> tuple[IntegerRowSpace, dict]:
+    """The eliminated degree-d slice and its column index {exps: column}."""
     key = (n, d)
-    space = _slice_cache.get(key)
-    if space is None:
-        columns = degree_columns(n, d)
-        space = IntegerRowSpace(len(columns))
-        for row in _generator_rows(n, d, columns):
-            space.add(row)
-            if space.rank == space.ncols:
-                break
-        _slice_cache[key] = space
-    return space
+    if key not in _slice_cache:
+        index = {exps: i for i, exps in enumerate(degree_columns(n, d))}
+        space = IntegerRowSpace(len(index)).add_until_full(_generator_rows(n, d, index))
+        _slice_cache[key] = space, index
+    return _slice_cache[key]
 
 
 def ideal_degree_rank(n: int, d: int) -> int:
     """Rank over Q of the degree-d slice of the ideal."""
     _check_oracle_caps(n, d)
-    return _slice_space(n, d).rank
+    return _slice(n, d)[0].rank
 
 
 def quotient_dims(n: int, dmax: int) -> list[int]:
@@ -169,30 +170,30 @@ def row_space_member(p: Polynomial) -> bool:
         raise ValueError("row-space membership needs a homogeneous polynomial")
     d = p.degree()
     _check_oracle_caps(p.n, d)
-    space = _slice_space(p.n, d)
-    columns = degree_columns(p.n, d)
-    index = {exps: i for i, exps in enumerate(columns)}
-    denom = 1
-    for _, coeff in p.items():
-        denom = denom * coeff.denominator // gcd(denom, coeff.denominator)
-    row = [0] * len(columns)
-    for exps, coeff in p.items():
-        row[index[exps]] = int(coeff * denom)
-    return space.contains(row)
+    space, index = _slice(p.n, d)
+    denom = lcm(*(coeff.denominator for _, coeff in p.items()))
+    return space.contains({index[exps]: int(coeff * denom) for exps, coeff in p.items()})
+
+
+def rank_record(n: int, d: int) -> dict:
+    """Counts of the degree-d elimination: columns, generator rows, rank and
+    quotient dimension."""
+    _check_oracle_caps(n, d)
+    space, index = _slice(n, d)
+    return {"degree": d, "columns": len(index),
+            "generator_rows": len(slice_generators(n, d)),
+            "rank": space.rank, "dimension": len(index) - space.rank}
 
 
 def rank_report(n: int, d: int) -> str:
     """Human-readable summary of the degree-d elimination."""
-    _check_oracle_caps(n, d)
-    columns = degree_columns(n, d)
-    gens = slice_generators(n, d)
-    rank = ideal_degree_rank(n, d)
+    record = rank_record(n, d)
     lines = [
         f"degree {d} slice in {n} variables:",
-        f"  columns (monomials): {len(columns)}",
-        f"  generator rows:      {len(gens)}",
-        f"  rank:                {rank}",
-        f"  quotient dimension:  {len(columns) - rank}",
+        f"  columns (monomials): {record['columns']}",
+        f"  generator rows:      {record['generator_rows']}",
+        f"  rank:                {record['rank']}",
+        f"  quotient dimension:  {record['dimension']}",
     ]
     return "\n".join(lines)
 

@@ -14,6 +14,7 @@ from math import comb
 from .combinat import (
     canonical_descent_word,
     check_composition,
+    check_size,
     composition_from_subset,
     descent_set,
     shuffles,
@@ -58,12 +59,19 @@ def fundamental_qsym(alpha, n: int) -> Polynomial:
     """F_alpha in n variables: the sum of M_beta over all refinements beta.
 
     Only the refinements with at most n parts are summed, so the cost follows
-    the number of terms, not 2 ** (|alpha| - len(alpha)).  Cached per
-    (alpha, n); polynomials are immutable so sharing is safe.
+    the number of terms, not 2 ** (|alpha| - len(alpha)).  That number is
+    counted first, and ``ResourceLimitError`` is raised when it exceeds
+    ``combinat.SIZE_CAP``.  Cached per (alpha, n); polynomials are immutable
+    so sharing is safe.
     """
     alpha = check_composition(alpha)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    # a refinement with len(alpha) + r parts makes C(n, len(alpha) + r) terms
+    d, ell, terms = sum(alpha), len(alpha), 0
+    for r in range(min(d - ell, n - ell) + 1):
+        terms += comb(d - ell, r) * comb(n, ell + r)
+        check_size(terms, f"terms in F_{alpha} in {n} variables")
     return _fundamental(alpha, n)
 
 
@@ -73,12 +81,14 @@ def f_product(alpha, beta, word_builder=canonical_descent_word):
     Returns (gamma, multiplicity) pairs, sorted, with total multiplicity
     binom(|alpha| + |beta|, |beta|).  The expansion is independent of the
     choice of descent words and holds in any number of variables:
-    sum(mult * F_gamma) = F_alpha * F_beta.
+    sum(mult * F_gamma) = F_alpha * F_beta.  ``ResourceLimitError`` is
+    raised when that total exceeds ``combinat.SIZE_CAP`` words.
     """
     alpha, beta = check_composition(alpha), check_composition(beta)
+    d = sum(alpha) + sum(beta)
+    check_size(comb(d, sum(beta)), f"shuffle words in F_{alpha} * F_{beta}")
     u = word_builder(alpha)
     v = word_builder(beta, offset=sum(alpha))
-    d = sum(alpha) + sum(beta)
     counts = {}
     for w in shuffles(u, v):
         gamma = composition_from_subset(word_descent_set(w), d)

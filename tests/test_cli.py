@@ -130,6 +130,18 @@ class TestSubcommands:
         assert out.splitlines()[0] == "1 2 2"
         assert "quotient dimension" in out
 
+    def test_hilbert_oracle_report_json(self, capsys):
+        code, out, _ = run_cli(capsys, "hilbert", "-n", "3", "--method", "oracle",
+                               "--report", "--json")
+        record = json.loads(out)
+        assert code == 0
+        assert record["series"] == [1, 2, 2]
+        assert record["report"] == [
+            {"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1},
+            {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2},
+            {"degree": 2, "columns": 6, "generator_rows": 5, "rank": 4, "dimension": 2},
+        ]
+
     def test_basis_listing(self, capsys):
         code, out, _ = run_cli(capsys, "basis", "-n", "2")
         assert code == 0
@@ -263,8 +275,8 @@ class TestExitCodes:
 
 class TestPolynomialCost:
     """Inputs whose cost once grew with 2 ** degree or with the size of a
-    whole degree slice rather than the terms present; each must finish well
-    inside the timeout."""
+    whole degree slice rather than the terms present, or that must be refused
+    with a resource-limit message; each must finish well inside the timeout."""
 
     @staticmethod
     def run(*argv):
@@ -290,6 +302,16 @@ class TestPolynomialCost:
     def test_member_high_power(self):
         proc = self.run("member", "-n", "3", "--expr", "x1^18")
         assert proc.returncode == 0 and proc.stdout.strip() == "in ideal"
+
+    @pytest.mark.parametrize("argv", [
+        ("reduce", "-n", "3", "--expr", "x1^99999999"),
+        ("gbasis", "-n", "3", "--vector", "99999999"),
+        ("qsym-mul", "-n", "3", "--left", "12", "--right", "12"),
+    ])
+    def test_oversized_expansion_refused(self, argv):
+        proc = self.run(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("resource limit:")
 
     def test_fundamental_high_degree(self):
         proc = self.run("qsym", "-n", "3", "--fundamental", "22", "--json")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsymq.combinat import ResourceLimitError, catalan, compositions_of, vectors_of_degree
+from qsymq.combinat import ResourceLimitError, ballot, catalan, compositions_of, vectors_of_degree
 from qsymq.oracle import (
     IntegerRowSpace,
     degree_columns,
@@ -52,24 +52,50 @@ def rational_rank(rows, ncols: int) -> int:
     return rank
 
 
+@st.composite
+def matrices(draw):
+    """(ncols, rows): up to 10 integer rows of a common width up to 8."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols)
+    return ncols, draw(st.lists(row, max_size=10))
+
+
 class TestRank:
-    @given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
-                    min_size=0, max_size=6))
-    def test_fraction_free_matches_rational(self, rows):
-        assert fraction_free_rank(rows, 4) == rational_rank(rows, 4)
+    @given(matrices())
+    def test_fraction_free_matches_rational(self, matrix):
+        ncols, rows = matrix
+        sparse = [dict(enumerate(row)) for row in rows]
+        assert fraction_free_rank(sparse, ncols) == rational_rank(rows, ncols)
+
+    @given(matrices(), st.lists(st.integers(-3, 3), min_size=10, max_size=10),
+           st.lists(st.integers(-1, 1), min_size=8, max_size=8))
+    def test_contains_matches_rational(self, matrix, coeffs, noise):
+        # a combination of the rows, sometimes pushed off the span by noise
+        ncols, rows = matrix
+        probe = [sum(c * row[j] for c, row in zip(coeffs, rows)) + noise[j]
+                 for j in range(ncols)]
+        space = IntegerRowSpace(ncols)
+        for row in rows:
+            space.add(dict(enumerate(row)))
+        inside = rational_rank(rows + [probe], ncols) == rational_rank(rows, ncols)
+        assert space.contains(dict(enumerate(probe))) == inside
+        for col, prow in space.pivots.items():
+            assert min(prow) == col and prow[col] > 0 and 0 not in prow.values()
 
     def test_contains(self):
         space = IntegerRowSpace(3)
-        space.add([1, 1, 0])
-        space.add([0, 1, 1])
-        assert space.contains([1, 2, 1])
-        assert space.contains([2, 2, 0])
-        assert not space.contains([1, 0, 1])
-        assert not space.contains([0, 0, 1])
+        space.add(dict(enumerate([1, 1, 0])))
+        space.add(dict(enumerate([0, 1, 1])))
+        assert space.contains(dict(enumerate([1, 2, 1])))
+        assert space.contains(dict(enumerate([2, 2, 0])))
+        assert not space.contains(dict(enumerate([1, 0, 1])))
+        assert not space.contains(dict(enumerate([0, 0, 1])))
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
-            IntegerRowSpace(3).add([1, 2])
+            IntegerRowSpace(3).add({3: 1})
+        with pytest.raises(ValueError):
+            IntegerRowSpace(3).add({-1: 1})
 
 
 class TestDegreeSlices:
@@ -103,11 +129,8 @@ class TestDegreeSlices:
                             continue
                         f = fundamental_qsym(alpha, n)
                         for mu in vectors_of_degree(n, d - a):
-                            row = [0] * len(columns)
-                            for exps, coeff in f.items():
-                                key = tuple(x + y for x, y in zip(mu, exps))
-                                row[index[key]] = int(coeff)
-                            space.add(row)
+                            space.add({index[tuple(x + y for x, y in zip(mu, exps))]:
+                                       int(coeff) for exps, coeff in f.items()})
                 assert space.rank == ideal_degree_rank(n, d), (n, d)
 
     def test_rank_report_mentions_dimension(self):
@@ -151,9 +174,16 @@ class TestHilbertSeries:
     def test_enumeration_agrees(self, n):
         assert hilbert_series(n, "enum") == hilbert_series(n, "formula")
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_oracle_agrees(self, n):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_oracle_agrees(self, n, monkeypatch):
+        monkeypatch.setenv("QSYMQ_MAX_N", "7")
         assert hilbert_series(n, "oracle") == hilbert_series(n, "formula")
+
+    @pytest.mark.slow
+    def test_oracle_agrees_at_8(self, monkeypatch):
+        monkeypatch.setenv("QSYMQ_MAX_N", "8")
+        expected = tuple(ballot(8, k) for k in range(8))
+        assert hilbert_series(8, "oracle").coefficients == expected
 
     def test_totals_are_catalan(self):
         for n in range(1, 11):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 
 from conftest import compositions, polynomials
-from qsymq.combinat import complement_descent_word, compositions_of, refinements
+from qsymq import combinat
+from qsymq.combinat import (
+    ResourceLimitError,
+    complement_descent_word,
+    compositions_of,
+    refinements,
+)
 from qsymq.poly import Polynomial
 from qsymq.qsym import (
     embed_shifted,
@@ -123,6 +129,32 @@ class TestFProduct:
                     for beta in compositions_of(db):
                         assert f_product(alpha, beta) == f_product(
                             alpha, beta, word_builder=complement_descent_word)
+
+
+class TestSizeCap:
+    def test_fundamental_cap_counts_terms_exactly(self, monkeypatch):
+        for n in range(1, 5):
+            for d in range(7):
+                for alpha in compositions_of(d):
+                    size = len(fundamental_qsym(alpha, n))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(combinat, "SIZE_CAP", size)
+                        fundamental_qsym(alpha, n)
+                        if size:
+                            patch.setattr(combinat, "SIZE_CAP", size - 1)
+                            with pytest.raises(ResourceLimitError):
+                                fundamental_qsym(alpha, n)
+
+    def test_shuffle_cap(self, monkeypatch):
+        monkeypatch.setattr(combinat, "SIZE_CAP", comb(5, 2))
+        assert sum(m for _, m in f_product((2, 1), (2,))) == comb(5, 2)
+        with pytest.raises(ResourceLimitError):
+            f_product((2, 1), (1, 2))
+
+    def test_cap_is_not_raised_by_max_n(self, monkeypatch):
+        monkeypatch.setenv("QSYMQ_MAX_N", "100")
+        with pytest.raises(ResourceLimitError):
+            fundamental_qsym((99999999,), 3)
 
 
 class TestQuasiSymmetry:
