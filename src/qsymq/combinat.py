@@ -31,14 +31,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def desk_cap(default: int) -> int:
-    """Effective cap: the QSYMQ_MAX_N environment override, else ``default``."""
+    """Effective cap: the QSYMQ_MAX_N environment override, else ``default``.
+
+    A value that is not an integer raises ``ValueError``.
+    """
     raw = os.environ.get("QSYMQ_MAX_N")
     if raw is None:
         return default
     try:
         return max(default, int(raw))
     except ValueError:
-        return default
+        raise ValueError(f"QSYMQ_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _check_cap(n: int, default: int, what: str) -> None:
@@ -49,9 +52,11 @@ def _check_cap(n: int, default: int, what: str) -> None:
         )
 
 
-def check_size(count: int, what: str) -> None:
+def check_size(count: int, what: str, *args) -> None:
+    """Refuse more than ``SIZE_CAP`` items; ``what.format(*args)`` names them,
+    formatted only on failure."""
     if count > SIZE_CAP:
-        raise ResourceLimitError(f"more than {SIZE_CAP} {what}")
+        raise ResourceLimitError(f"more than {SIZE_CAP} " + what.format(*args))
 
 
 class PathClass(enum.Enum):

@@ -7,7 +7,6 @@ computed combinatorially through shuffles of descent words, with direct
 polynomial multiplication kept as the testing oracle.
 """
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -42,8 +41,28 @@ def monomial_qsym(alpha, n: int) -> Polynomial:
     return Polynomial(n, terms)
 
 
-@lru_cache(maxsize=None)
-def _fundamental(alpha, n):
+def check_fundamental_size(alpha, n: int) -> None:
+    """Raise ``ResourceLimitError`` when F_alpha in n variables has more than
+    ``combinat.SIZE_CAP`` terms, counted from |alpha|, len(alpha) and n."""
+    # a refinement with len(alpha) + r parts makes C(n, len(alpha) + r) terms
+    d, ell, terms = sum(alpha), len(alpha), 0
+    for r in range(min(d - ell, n - ell) + 1):
+        terms += comb(d - ell, r) * comb(n, ell + r)
+        check_size(terms, "terms in F_{} in {} variables", alpha, n)
+
+
+def fundamental_qsym(alpha, n: int) -> Polynomial:
+    """F_alpha in n variables: the sum of M_beta over all refinements beta.
+
+    Only the refinements with at most n parts are summed, so the cost follows
+    the number of terms, not 2 ** (|alpha| - len(alpha)).  That number is
+    counted first, and ``ResourceLimitError`` is raised when it exceeds
+    ``combinat.SIZE_CAP``.
+    """
+    alpha = check_composition(alpha)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    check_fundamental_size(alpha, n)
     # refinements with more than n parts vanish; the rest have disjoint supports
     d, base = sum(alpha), descent_set(alpha)
     free = sorted(set(range(1, d)) - base)
@@ -53,26 +72,6 @@ def _fundamental(alpha, n):
             beta = composition_from_subset(base | set(extra), d)
             terms.update(monomial_qsym(beta, n).items())
     return Polynomial(n, terms)
-
-
-def fundamental_qsym(alpha, n: int) -> Polynomial:
-    """F_alpha in n variables: the sum of M_beta over all refinements beta.
-
-    Only the refinements with at most n parts are summed, so the cost follows
-    the number of terms, not 2 ** (|alpha| - len(alpha)).  That number is
-    counted first, and ``ResourceLimitError`` is raised when it exceeds
-    ``combinat.SIZE_CAP``.  Cached per (alpha, n); polynomials are immutable
-    so sharing is safe.
-    """
-    alpha = check_composition(alpha)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    # a refinement with len(alpha) + r parts makes C(n, len(alpha) + r) terms
-    d, ell, terms = sum(alpha), len(alpha), 0
-    for r in range(min(d - ell, n - ell) + 1):
-        terms += comb(d - ell, r) * comb(n, ell + r)
-        check_size(terms, f"terms in F_{alpha} in {n} variables")
-    return _fundamental(alpha, n)
 
 
 def f_product(alpha, beta, word_builder=canonical_descent_word):
@@ -86,7 +85,7 @@ def f_product(alpha, beta, word_builder=canonical_descent_word):
     """
     alpha, beta = check_composition(alpha), check_composition(beta)
     d = sum(alpha) + sum(beta)
-    check_size(comb(d, sum(beta)), f"shuffle words in F_{alpha} * F_{beta}")
+    check_size(comb(d, sum(beta)), "shuffle words in F_{} * F_{}", alpha, beta)
     u = word_builder(alpha)
     v = word_builder(beta, offset=sum(alpha))
     counts = {}

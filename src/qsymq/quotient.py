@@ -9,15 +9,21 @@ the entry right after that zero, ``beta`` the positive tail) and recurse:
 
     G_eps = G_(w a beta 0*) - x_k * G_(w (a-1) beta 0*)
 
+So every G element has integer coefficients, and ``GBasis`` keeps each as an
+``{exponents: int}`` dict, the product by ``x_k`` being a shift of exponent k.
+
 Reducing the graded-lex-greatest transdiagonal monomial of a polynomial by
 the matching G element, repeatedly, yields a unique remainder supported on
 Dyck vectors together with an exact membership certificate; a max-heap
-hands ``GBasis.normal_form`` the transdiagonal terms in that order.
+hands ``GBasis.normal_form`` the transdiagonal terms in that order.  The
+input is scaled once by the lcm of its denominators, so the loop runs on
+integers; ``Polynomial`` and ``Fraction`` appear only in what it returns.
 """
 
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import neg
 
 from .combinat import (
@@ -25,9 +31,10 @@ from .combinat import (
     is_dyck,
     last_nonzero,
     vectors_of_degree,
+    zero_erasure,
 )
 from .poly import Polynomial
-from .qsym import fundamental_qsym
+from .qsym import check_fundamental_size, fundamental_qsym
 
 
 @dataclass(frozen=True)
@@ -127,15 +134,17 @@ class ReductionResult:
 class GBasis:
     """G elements for a fixed number of variables, memoized by index.
 
-    Entries are immutable polynomials inserted whole, so concurrent readers
-    always observe results identical to recomputation.
+    Each G element is kept as an ``{exponents: int}`` dict, since every G has
+    integer coefficients; ``g`` converts one to a ``Polynomial``.  Entries are
+    inserted whole and never mutated, so concurrent readers always observe
+    results identical to recomputation.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        self._memo: dict[tuple, Polynomial] = {}
+        self._memo: dict[tuple, dict[tuple, int]] = {}
 
     def g(self, eps) -> Polynomial:
         """The G element indexed by a transdiagonal vector of length n."""
@@ -145,22 +154,29 @@ class GBasis:
         if is_dyck(eps):
             raise ValueError(f"{eps} is Dyck; G elements are indexed by "
                              "transdiagonal vectors")
-        return self._g(eps)
+        return Polynomial(self.n, self._g(eps))
 
-    def _g(self, eps) -> Polynomial:
+    def _g(self, eps) -> dict[tuple, int]:
         hit = self._memo.get(eps)
         if hit is not None:
             return hit
         split = factorize(eps)
         if isinstance(split, BaseCase):
-            result = fundamental_qsym(split.alpha, self.n)
+            result = dict.fromkeys(fundamental_qsym(split.alpha, self.n).support(), 1)
         else:
-            pad = (0,) * (self.n - split.k - len(split.beta))
-            left = split.w + (split.a,) + split.beta + pad
-            right = split.w + (split.a - 1,) + split.beta + pad
+            # following `left` ends at F_c(eps): refuse it before recursing
+            check_fundamental_size(zero_erasure(eps), self.n)
+            k = split.k
+            left = eps[:k - 1] + eps[k:] + (0,)  # w a beta 0*
+            right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]  # w (a-1) beta 0*
             assert not is_dyck(left) and not is_dyck(right)
-            result = self._g(left) - Polynomial.variable(self.n, split.k) * self._g(right)
-        assert result.is_homogeneous()
+            result = dict(self._g(left))
+            for exps, c in self._g(right).items():  # subtract x_k * G_right
+                exps = exps[:k - 1] + (exps[k - 1] + 1,) + exps[k:]
+                result[exps] = result.get(exps, 0) - c
+                if not result[exps]:
+                    del result[exps]
+        assert len({sum(e) for e in result}) <= 1  # homogeneous
         self._memo[eps] = result
         return result
 
@@ -171,10 +187,13 @@ class GBasis:
         the support against its G element, so the result and certificate are
         deterministic.  A step adds terms only below the cancelled one, so a
         max-heap of the transdiagonal terms present visits each at most once.
+        ``p`` is scaled once by the lcm of its denominators, the loop runs on
+        integers, and the remainder and certificate are divided back.
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables, basis has {self.n}")
-        work = dict(p.items())
+        scale = lcm(*(c.denominator for _, c in p.items()))
+        work = {e: int(c * scale) for e, c in p.items()}
         certificate = []
         # entries (-degree, -eps, eps): the min-heap pops the greatest first
         heap = [(-sum(e), tuple(map(neg, e)), e) for e in work if not is_dyck(e)]
@@ -195,8 +214,8 @@ class GBasis:
                 else:
                     del work[exps]
             assert eps not in work  # the G element cancels its own index
-            certificate.append((coeff, eps))
-        return ReductionResult(Polynomial(self.n, work), certificate)
+            certificate.append((Fraction(coeff, scale), eps))
+        return ReductionResult(Polynomial(self.n, work).scale(Fraction(1, scale)), certificate)
 
     def is_member(self, p: Polynomial) -> bool:
         """True iff ``p`` lies in the ideal (zero remainder)."""

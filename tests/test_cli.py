@@ -261,6 +261,12 @@ class TestExitCodes:
     def test_contract(self, capsys, argv, expected):
         assert main(argv) == expected
 
+    def test_malformed_max_n(self, capsys, monkeypatch):
+        monkeypatch.setenv("QSYMQ_MAX_N", "seven")
+        assert main(["hilbert", "-n", "7", "--method", "oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seven'" in err
+
     def test_reduce_missing_file(self, capsys):
         code = main(["reduce", "-n", "2", "--file", "/no/such/file"])
         assert code == 1
@@ -307,6 +313,8 @@ class TestPolynomialCost:
         ("reduce", "-n", "3", "--expr", "x1^99999999"),
         ("gbasis", "-n", "3", "--vector", "99999999"),
         ("qsym-mul", "-n", "3", "--left", "12", "--right", "12"),
+        # the G recursion is about n deep before it reaches F_(1100)
+        ("reduce", "-n", "1100", "--expr", "x1100^1100"),
     ])
     def test_oversized_expansion_refused(self, argv):
         proc = self.run(*argv)

@@ -129,6 +129,11 @@ class TestEnumeration:
         monkeypatch.setenv("QSYMQ_MAX_N", "13")
         assert len(enumerate_dyck(13, 0)) == 1
 
+    def test_malformed_cap_override(self, monkeypatch):
+        monkeypatch.setenv("QSYMQ_MAX_N", "seven")
+        with pytest.raises(ValueError, match="QSYMQ_MAX_N.*'seven'"):
+            combinat.desk_cap(6)
+
 
 class TestCounting:
     def test_catalan(self):

@@ -158,6 +158,30 @@ def reference_normal_form(basis, p):
     return Polynomial(basis.n, work), certificate
 
 
+def reference_g(n, eps, memo):
+    """G_eps by the defining recursion in Polynomial arithmetic, base case
+    F_alpha: G_(w 0 a beta 0*) = G_(w a beta 0*) - x_k * G_(w (a-1) beta 0*)."""
+    if eps not in memo:
+        split = factorize(eps)
+        if isinstance(split, BaseCase):
+            memo[eps] = fundamental_qsym(split.alpha, n)
+        else:
+            pad = (0,) * (n - split.k - len(split.beta))
+            left = split.w + (split.a,) + split.beta + pad
+            right = split.w + (split.a - 1,) + split.beta + pad
+            memo[eps] = (reference_g(n, left, memo)
+                         - Polynomial.variable(n, split.k) * reference_g(n, right, memo))
+    return memo[eps]
+
+
+class TestAgainstPolynomialRecursion:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_g_element(self, n):
+        basis, memo = GBasis(n), {}
+        for eps in enumerate_transdiagonal(n, n + 1):
+            assert basis.g(eps) == reference_g(n, eps, memo), eps
+
+
 @st.composite
 def small_polynomials(draw):
     n = draw(st.integers(1, 5))
@@ -185,17 +209,23 @@ class TestAgainstGreedyRescan:
 
     def test_dense_products(self, rng):
         # products of linear forms fill whole degree slices, so each step
-        # adds many new transdiagonal terms below the one it cancels
+        # adds many new transdiagonal terms below the one it cancels; the
+        # scaled copy, with one more term over another large prime, makes
+        # the reduction clear denominators whose lcm is about 2 * 10 ** 18
         for n in range(2, 6):
             basis = shared_basis(n)
             p = Polynomial.constant(n, 1)
             for _ in range(n):
                 form = {random_vector(rng, n, 1): rng.randint(1, 7) for _ in range(n)}
                 p = p * Polynomial(n, form)
-            result = basis.normal_form(p)
-            remainder, certificate = reference_normal_form(basis, p)
-            assert result.remainder == remainder
-            assert result.certificate == certificate
+            scaled = p * Fraction(-(10**9 + 7), 2**31 - 1) + Polynomial.monomial(
+                n, (0,) * (n - 1) + (n,), Fraction(3, 10**9 + 9))
+            for q in (p, scaled):
+                result = basis.normal_form(q)
+                remainder, certificate = reference_normal_form(basis, q)
+                assert result.remainder == remainder
+                assert result.certificate == certificate
+                assert all(type(c) is Fraction for c, _ in result.certificate)
 
 
 class TestNormalForm:
@@ -208,6 +238,11 @@ class TestNormalForm:
         result = normal_form(Polynomial.monomial(2, (0, 2)))
         assert result.remainder.is_zero()
         assert result.certificate == [(1, (0, 2))]
+
+    def test_zero_polynomial(self):
+        result = GBasis(3).normal_form(Polynomial.zero(3))
+        assert result.remainder.is_zero()
+        assert result.certificate == []
 
     def test_dyck_monomial_untouched(self):
         for eta in enumerate_dyck(3):
