@@ -229,10 +229,8 @@ def polynomial_from_record(record) -> Polynomial:
 
 
 def _emit(args, record, text):
-    if args.json:
-        print(json.dumps(record))
-    else:
-        print(text)
+    """Print ``record`` as JSON, or else call ``text()`` and print that."""
+    print(json.dumps(record) if args.json else text())
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def cmd_hilbert(args) -> int:
     report = args.report and args.method == "oracle"
     if report and args.json:
         record["report"] = [oracle.rank_record(args.n, d) for d in range(args.n)]
-    _emit(args, record, str(series))
+    _emit(args, record, lambda: str(series))
     if report and not args.json:
         for d in range(args.n):
             print(oracle.rank_report(args.n, d))
@@ -311,11 +309,10 @@ def cmd_gbasis(args) -> int:
     record = _polynomial_record(
         "gbasis", poly,
         leading={"coeff": str(coeff), "exps": list(exps)})
-    text = "\n".join([
+    _emit(args, record, lambda: "\n".join([
         render_polynomial(poly),
         f"leading monomial: {render_polynomial(Polynomial.monomial(args.n, exps, coeff))}",
-    ])
-    _emit(args, record, text)
+    ]))
     return 0
 
 
@@ -325,12 +322,16 @@ def cmd_reduce(args) -> int:
     certificate = [{"coeff": str(c), "eps": list(e)}
                    for c, e in result.certificate]
     record = _polynomial_record("reduce", result.remainder, certificate=certificate)
-    lines = [render_polynomial(result.remainder)]
-    if args.certificate:
-        lines.append("certificate:")
-        for c, e in result.certificate:
-            lines.append(f"  {c} * G_{','.join(str(x) for x in e)}")
-    _emit(args, record, "\n".join(lines))
+
+    def text():
+        lines = [render_polynomial(result.remainder)]
+        if args.certificate:
+            lines.append("certificate:")
+            for c, e in result.certificate:
+                lines.append(f"  {c} * G_{','.join(str(x) for x in e)}")
+        return "\n".join(lines)
+
+    _emit(args, record, text)
     return 0
 
 
@@ -338,7 +339,7 @@ def cmd_member(args) -> int:
     p = parse_polynomial(_expression(args), args.n)
     inside = quotient.is_member(p)
     record = {"n": args.n, "operation": "member", "member": inside}
-    _emit(args, record, "in ideal" if inside else "not in ideal")
+    _emit(args, record, lambda: "in ideal" if inside else "not in ideal")
     return 0 if inside else 3
 
 
@@ -351,7 +352,7 @@ def cmd_qsym(args) -> int:
         alpha = _composition_arg(args.fundamental)
         poly = fundamental_qsym(alpha, args.n)
         name = "qsym-fundamental"
-    _emit(args, _polynomial_record(name, poly), render_polynomial(poly))
+    _emit(args, _polynomial_record(name, poly), lambda: render_polynomial(poly))
     return 0
 
 
@@ -363,10 +364,9 @@ def cmd_qsym_mul(args) -> int:
     record = _polynomial_record(
         "qsym-mul", product,
         compositions=[{"parts": list(g), "multiplicity": m} for g, m in expansion])
-    lines = [f"{m} * F_{','.join(str(p) for p in g) if g else '0'}"
-             for g, m in expansion]
-    lines.append(f"product: {render_polynomial(product)}")
-    _emit(args, record, "\n".join(lines))
+    _emit(args, record, lambda: "\n".join(
+        [f"{m} * F_{','.join(str(p) for p in g) if g else '0'}" for g, m in expansion]
+        + [f"product: {render_polynomial(product)}"]))
     return 0
 
 
@@ -377,7 +377,7 @@ def cmd_gf_check(args) -> int:
               "form": form, "holds": holds}
     verdict = (f"{form} numerator: identity "
                f"{'holds' if holds else 'FAILS'} mod x^{args.order + 1}")
-    _emit(args, record, verdict)
+    _emit(args, record, lambda: verdict)
     return 0 if holds else 3
 
 

@@ -11,7 +11,7 @@ Dyck-vector enumeration, and the closed-form generating function.
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from . import combinat
 from .combinat import ResourceLimitError, ballot, compositions_of, desk_cap, vectors_of_degree
@@ -101,12 +101,9 @@ def fraction_free_rank(rows, ncols: int) -> int:
 
 
 def _check_oracle_caps(n: int, d: int) -> None:
-    cap = desk_cap(combinat.ORACLE_CAP)
-    if not 1 <= n <= cap:
-        raise ResourceLimitError(
-            f"exact elimination capped at n <= {cap} (set QSYMQ_MAX_N to raise); "
-            f"got n = {n}"
-        )
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    combinat._check_cap(n, combinat.ORACLE_CAP, "exact elimination")
     if not 0 <= d <= n + 1:
         raise ResourceLimitError(f"degree {d} outside [0, n + 1] for n = {n}")
 
@@ -171,8 +168,8 @@ def row_space_member(p: Polynomial) -> bool:
     d = p.degree()
     _check_oracle_caps(p.n, d)
     space, index = _slice(p.n, d)
-    denom = lcm(*(coeff.denominator for _, coeff in p.items()))
-    return space.contains({index[exps]: int(coeff * denom) for exps, coeff in p.items()})
+    _, terms = p.integer_terms()
+    return space.contains({index[exps]: c for exps, c in terms.items()})
 
 
 def rank_record(n: int, d: int) -> dict:
@@ -222,10 +219,8 @@ def hilbert_series(n: int, method: str = "formula") -> HilbertSeries:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if method == "formula":
-        if n > desk_cap(combinat.COUNTING_CAP):
-            raise ResourceLimitError(f"formula route capped, got n = {n}")
         coeffs = [ballot(n, k) for k in range(n)]
-    elif method in ("enum", "enumeration"):
+    elif method == "enum":
         counts = [0] * n
         for eta in combinat.enumerate_dyck(n):
             counts[sum(eta)] += 1

@@ -5,6 +5,11 @@ are ``fractions.Fraction`` and zero coefficients are never stored, so two
 polynomials are equal exactly when their term maps are.  The monomial order
 throughout is graded lex: compare total degree first, then the exponent
 tuples lexicographically.
+
+There are two ways in.  ``Polynomial(n, terms)`` validates and normalizes
+input from outside: users, the parser, JSON records and tests.
+``Polynomial._trusted(n, terms)`` wraps, unchecked, terms the library built
+itself: length-n tuples of ints mapped to nonzero ``Fraction``s.
 """
 
 import math
@@ -46,6 +51,12 @@ class Polynomial:
             if coeff:
                 clean[exps] = coeff
         self._terms = clean
+
+    @staticmethod
+    def _trusted(n, terms):
+        out = Polynomial.__new__(Polynomial)
+        out.n, out._terms = n, terms
+        return out
 
     # construction helpers
 
@@ -96,6 +107,11 @@ class Polynomial:
     def coefficient(self, nu) -> Fraction:
         return self._terms.get(tuple(nu), Fraction(0))
 
+    def integer_terms(self):
+        """``(scale, {exps: int})``: the terms times the lcm of their denominators."""
+        scale = math.lcm(*(c.denominator for c in self._terms.values()))
+        return scale, {e: int(c * scale) for e, c in self._terms.items()}
+
     def leading_monomial(self):
         """Graded-lex-greatest (exponents, coefficient) pair; error on zero."""
         if not self._terms:
@@ -140,15 +156,10 @@ class Polynomial:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n, out._terms = self.n, terms
-        return out
+        return Polynomial._trusted(self.n, terms)
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return Polynomial._trusted(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -157,10 +168,8 @@ class Polynomial:
 
     def scale(self, value):
         value = Fraction(value)
-        out = Polynomial.__new__(Polynomial)
-        out.n = self.n
-        out._terms = {e: c * value for e, c in self._terms.items()} if value else {}
-        return out
+        terms = {e: c * value for e, c in self._terms.items()} if value else {}
+        return Polynomial._trusted(self.n, terms)
 
     def __mul__(self, other):
         if isinstance(other, Rational):
@@ -177,9 +186,7 @@ class Polynomial:
                     terms[exps] = new
                 else:
                     terms.pop(exps, None)
-        out = Polynomial.__new__(Polynomial)
-        out.n, out._terms = self.n, terms
-        return out
+        return Polynomial._trusted(self.n, terms)
 
     def __rmul__(self, other):
         if isinstance(other, Rational):

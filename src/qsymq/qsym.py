@@ -7,6 +7,7 @@ computed combinatorially through shuffles of descent words, with direct
 polynomial multiplication kept as the testing oracle.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -32,23 +33,25 @@ def monomial_qsym(alpha, n: int) -> Polynomial:
     alpha = check_composition(alpha)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    terms = {}
+    terms, one = {}, Fraction(1)
     for positions in combinations(range(n), len(alpha)):
         exps = [0] * n
         for pos, part in zip(positions, alpha):
             exps[pos] = part
-        terms[tuple(exps)] = 1
-    return Polynomial(n, terms)
+        terms[tuple(exps)] = one
+    return Polynomial._trusted(n, terms)
 
 
-def check_fundamental_size(alpha, n: int) -> None:
-    """Raise ``ResourceLimitError`` when F_alpha in n variables has more than
-    ``combinat.SIZE_CAP`` terms, counted from |alpha|, len(alpha) and n."""
+def check_fundamental_size(alpha, n: int) -> int:
+    """The number of terms of F_alpha in n variables, counted from |alpha|,
+    len(alpha) and n; ``ResourceLimitError`` when it exceeds
+    ``combinat.SIZE_CAP``."""
     # a refinement with len(alpha) + r parts makes C(n, len(alpha) + r) terms
     d, ell, terms = sum(alpha), len(alpha), 0
     for r in range(min(d - ell, n - ell) + 1):
         terms += comb(d - ell, r) * comb(n, ell + r)
         check_size(terms, "terms in F_{} in {} variables", alpha, n)
+    return terms
 
 
 def fundamental_qsym(alpha, n: int) -> Polynomial:
@@ -71,7 +74,7 @@ def fundamental_qsym(alpha, n: int) -> Polynomial:
         for extra in combinations(free, r):
             beta = composition_from_subset(base | set(extra), d)
             terms.update(monomial_qsym(beta, n).items())
-    return Polynomial(n, terms)
+    return Polynomial._trusted(n, terms)
 
 
 def f_product(alpha, beta, word_builder=canonical_descent_word):

@@ -23,10 +23,10 @@ integers; ``Polynomial`` and ``Fraction`` appear only in what it returns.
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import neg
 
 from .combinat import (
+    check_size,
     check_vector,
     is_dyck,
     last_nonzero,
@@ -154,7 +154,7 @@ class GBasis:
         if is_dyck(eps):
             raise ValueError(f"{eps} is Dyck; G elements are indexed by "
                              "transdiagonal vectors")
-        return Polynomial(self.n, self._g(eps))
+        return Polynomial._trusted(self.n, {e: Fraction(c) for e, c in self._g(eps).items()})
 
     def _g(self, eps) -> dict[tuple, int]:
         hit = self._memo.get(eps)
@@ -164,8 +164,12 @@ class GBasis:
         if isinstance(split, BaseCase):
             result = dict.fromkeys(fundamental_qsym(split.alpha, self.n).support(), 1)
         else:
-            # following `left` ends at F_c(eps): refuse it before recursing
-            check_fundamental_size(zero_erasure(eps), self.n)
+            # following `left` reaches F_c(eps) after one copy per zero before
+            # the last nonzero entry: refuse a long chain before recursing
+            alpha = zero_erasure(eps)
+            size = check_fundamental_size(alpha, self.n)
+            check_size(size * (last_nonzero(eps) - len(alpha)),
+                       "terms on the G chain down to F_{} in {} variables", alpha, self.n)
             k = split.k
             left = eps[:k - 1] + eps[k:] + (0,)  # w a beta 0*
             right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]  # w (a-1) beta 0*
@@ -192,8 +196,7 @@ class GBasis:
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables, basis has {self.n}")
-        scale = lcm(*(c.denominator for _, c in p.items()))
-        work = {e: int(c * scale) for e, c in p.items()}
+        scale, work = p.integer_terms()
         certificate = []
         # entries (-degree, -eps, eps): the min-heap pops the greatest first
         heap = [(-sum(e), tuple(map(neg, e)), e) for e in work if not is_dyck(e)]
@@ -215,7 +218,8 @@ class GBasis:
                     del work[exps]
             assert eps not in work  # the G element cancels its own index
             certificate.append((Fraction(coeff, scale), eps))
-        return ReductionResult(Polynomial(self.n, work).scale(Fraction(1, scale)), certificate)
+        remainder = {e: Fraction(c, scale) for e, c in work.items()}
+        return ReductionResult(Polynomial._trusted(self.n, remainder), certificate)
 
     def is_member(self, p: Polynomial) -> bool:
         """True iff ``p`` lies in the ideal (zero remainder)."""

@@ -234,6 +234,20 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "verify", "-n", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["qsym", "-n", "3", "--fundamental", "2,1", "--json"],
+        ["gbasis", "-n", "3", "--vector", "1,0,1", "--json"],
+        ["reduce", "-n", "3", "--expr", "x1*x3 + 1/2", "--certificate", "--json"],
+        ["qsym-mul", "-n", "3", "--left", "1", "--right", "1", "--json"],
+    ])
+    def test_json_builds_no_text(self, capsys, monkeypatch, argv):
+        def refuse(p):
+            raise AssertionError("text output built under --json")
+
+        monkeypatch.setattr(cli, "render_polynomial", refuse)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["operation"].startswith(argv[0])
+
     def test_gf_check(self, capsys):
         code, out, _ = run_cli(capsys, "gf-check", "--order", "5")
         assert code == 0 and "holds" in out
@@ -315,6 +329,8 @@ class TestPolynomialCost:
         ("qsym-mul", "-n", "3", "--left", "12", "--right", "12"),
         # the G recursion is about n deep before it reaches F_(1100)
         ("reduce", "-n", "1100", "--expr", "x1100^1100"),
+        # tiny output, but the G chain copies ~C(447, 2) terms 445 times
+        ("reduce", "-n", "447", "--expr", "x1*x447"),
     ])
     def test_oversized_expansion_refused(self, argv):
         proc = self.run(*argv)

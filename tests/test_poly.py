@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import polynomials, vectors
+from conftest import compositions, polynomials, vectors
 from qsymq.poly import Polynomial, diff_pairing, graded_lex_compare, graded_lex_key
+from qsymq.qsym import fundamental_qsym, monomial_qsym
+from qsymq.quotient import GBasis, enumerate_transdiagonal
 
 
 class TestGradedLex:
@@ -137,3 +140,58 @@ class TestDiffPairing:
     def test_self_pairing_positive(self, nu):
         m = Polynomial.monomial(3, nu)
         assert diff_pairing(m, m) > 0
+
+
+def assert_well_formed(p):
+    """The form ``Polynomial(n, terms)`` gives: length-n tuple keys and
+    nonzero ``Fraction`` coefficients."""
+    for exps, coeff in p.items():
+        assert type(exps) is tuple and len(exps) == p.n, exps
+        assert type(coeff) is Fraction and coeff != 0, (exps, coeff)
+    assert Polynomial(p.n, dict(p.items())) == p
+
+
+class TestBoundary:
+    """Input from outside goes through the validating constructor; what the
+    library builds itself, unchecked, must look as if it had."""
+
+    @pytest.mark.parametrize("key", [
+        (1, 0),  # wrong length
+        (1, 0, 0, 0),
+        (1, -1, 0),  # negative exponent
+        (1, 0.0, 0),  # exponents that are not ints
+        (1, "0", 0),
+        (Fraction(1), 0, 0),
+    ])
+    def test_bad_keys_rejected(self, key):
+        with pytest.raises(ValueError):
+            Polynomial(3, {key: 1})
+
+    @given(polynomials(n=3), polynomials(n=3))
+    def test_ring_operations(self, p, q):
+        for r in (p + q, p - q, -p, p * q, p * Fraction(-2, 3), 0 * p, 3 * p):
+            assert_well_formed(r)
+
+    @given(compositions(), st.integers(1, 5))
+    def test_quasisymmetric_bases(self, alpha, n):
+        assert_well_formed(monomial_qsym(alpha, n))
+        assert_well_formed(fundamental_qsym(alpha, n))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_g_elements(self, n):
+        basis = GBasis(n)
+        for eps in enumerate_transdiagonal(n, n + 1):
+            assert_well_formed(basis.g(eps))
+
+    @given(polynomials(n=4, max_degree=5))
+    def test_remainder_and_certificate(self, p):
+        result = GBasis(4).normal_form(p)
+        assert_well_formed(result.remainder)
+        assert all(type(c) is Fraction and c != 0 for c, _ in result.certificate)
+
+    @given(polynomials(n=3))
+    def test_integer_terms(self, p):
+        scale, terms = p.integer_terms()
+        assert all(type(c) is int and c != 0 for c in terms.values())
+        assert Polynomial(p.n, {e: Fraction(c, scale) for e, c in terms.items()}) == p
+        assert gcd(scale, *terms.values()) == 1  # no smaller scale would do

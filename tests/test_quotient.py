@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polynomials, random_vector
-from qsymq.combinat import ballot, compositions_of, enumerate_dyck, is_dyck, vectors_of_degree
+from qsymq import combinat
+from qsymq.combinat import (
+    ResourceLimitError,
+    ballot,
+    compositions_of,
+    enumerate_dyck,
+    is_dyck,
+    vectors_of_degree,
+)
 from qsymq.poly import Polynomial, graded_lex_key, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import (
@@ -83,6 +91,21 @@ class TestGElements:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             GBasis(3).g((1, 0))
+
+    def test_chain_cap_counts_copies(self, monkeypatch):
+        # G_(1,0,0,1) follows `left` through two zero removals down to
+        # F_(1,1), which has C(4, 2) = 6 terms in 4 variables
+        monkeypatch.setattr(combinat, "SIZE_CAP", 12)
+        assert GBasis(4).g((1, 0, 0, 1)).leading_monomial() == ((1, 0, 0, 1), 1)
+        monkeypatch.setattr(combinat, "SIZE_CAP", 11)
+        with pytest.raises(ResourceLimitError):
+            GBasis(4).g((1, 0, 0, 1))
+
+    def test_chain_cap_boundary(self):
+        # x1*x59: 57 * C(59, 2) = 97,527 terms; x1*x60: 58 * C(60, 2) = 102,660
+        GBasis(59).g((1,) + (0,) * 57 + (1,))
+        with pytest.raises(ResourceLimitError):
+            GBasis(60).g((1,) + (0,) * 58 + (1,))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_leading_monomials_match_indices(self, n):
