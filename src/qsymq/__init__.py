@@ -4,11 +4,9 @@ reductions with certificates, and independent Hilbert-series verification.
 """
 
 from .combinat import (
-    PathClass,
     ResourceLimitError,
     ballot,
     catalan,
-    classify,
     composition_from_subset,
     descent_set,
     dn_k,
@@ -19,25 +17,20 @@ from .combinat import (
     shuffles,
     vector_to_dyck_word,
 )
-from .poly import Polynomial, diff_pairing, graded_lex_compare
+from .poly import Polynomial, diff_pairing
 from .qsym import (
     f_product,
-    frel_decompose,
     fundamental_qsym,
-    is_quasisymmetric,
     monomial_qsym,
-    reverse_variables,
 )
 from .quotient import (
     GBasis,
     ReductionResult,
     coordinates,
     enumerate_transdiagonal,
-    factorize,
     g_element,
     is_member,
     normal_form,
-    rewrite_times_variable,
 )
 from .oracle import (
     HilbertSeries,

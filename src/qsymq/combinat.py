@@ -8,7 +8,6 @@ sum satisfies ``nu_1 + ... + nu_l <= l - 1``; otherwise it is *transdiagonal*.
 There are exactly ``catalan(n)`` Dyck vectors of length ``n``.
 """
 
-import enum
 import math
 import os
 from itertools import combinations
@@ -59,11 +58,6 @@ def check_size(count: int, what: str, *args) -> None:
         raise ResourceLimitError(f"more than {SIZE_CAP} " + what.format(*args))
 
 
-class PathClass(enum.Enum):
-    DYCK = "dyck"
-    TRANSDIAGONAL = "transdiagonal"
-
-
 # ---------------------------------------------------------------------------
 # compositions
 
@@ -103,12 +97,6 @@ def descent_set(alpha) -> frozenset:
         total += part
         out.append(total)
     return frozenset(out)
-
-
-def refines(beta, alpha) -> bool:
-    """True iff ``beta`` refines ``alpha``: same size and D(alpha) <= D(beta)."""
-    beta, alpha = check_composition(beta), check_composition(alpha)
-    return sum(beta) == sum(alpha) and descent_set(alpha) <= descent_set(beta)
 
 
 def refinements(alpha) -> list[Composition]:
@@ -173,10 +161,6 @@ def is_dyck(nu) -> bool:
         if total >= l:
             return False
     return True
-
-
-def classify(nu) -> PathClass:
-    return PathClass.DYCK if is_dyck(nu) else PathClass.TRANSDIAGONAL
 
 
 def vectors_of_degree(n: int, d: int):

@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from . import combinat
-from .combinat import ResourceLimitError, ballot, compositions_of, desk_cap, vectors_of_degree
+from .combinat import ResourceLimitError, ballot, compositions_of, vectors_of_degree
 from .poly import Polynomial, graded_lex_key
 
 
@@ -252,8 +252,7 @@ def generating_function_check(order: int, as_printed: bool = False) -> bool:
     """
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
-    if order > desk_cap(combinat.ENUMERATION_CAP):
-        raise ResourceLimitError(f"series check capped, got order = {order}")
+    combinat._check_cap(order, combinat.ENUMERATION_CAP, "generating-function check")
     t = Polynomial.variable(2, 1)
     x = Polynomial.variable(2, 2)
     one = Polynomial.constant(2, 1)

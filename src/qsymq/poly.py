@@ -24,15 +24,6 @@ def graded_lex_key(nu):
     return (sum(nu), nu)
 
 
-def graded_lex_compare(mu, nu) -> int:
-    """-1, 0 or 1 as ``mu`` is below, equal to, or above ``nu`` in graded lex."""
-    mu, nu = check_vector(mu), check_vector(nu)
-    if len(mu) != len(nu):
-        raise ValueError(f"vectors of different lengths: {mu} vs {nu}")
-    a, b = graded_lex_key(mu), graded_lex_key(nu)
-    return (a > b) - (a < b)
-
-
 class Polynomial:
     """Immutable sparse polynomial in ``n`` variables over Q."""
 

@@ -19,7 +19,6 @@ from .combinat import (
     descent_set,
     shuffles,
     word_descent_set,
-    zero_erasure,
 )
 from .poly import Polynomial
 
@@ -97,48 +96,3 @@ def f_product(alpha, beta, word_builder=canonical_descent_word):
         counts[gamma] = counts.get(gamma, 0) + 1
     return sorted(counts.items())
 
-
-def is_quasisymmetric(p: Polynomial) -> bool:
-    """True iff the coefficient of X^nu depends only on c(nu)."""
-    classes = {}
-    for exps, coeff in p.items():
-        classes.setdefault(zero_erasure(exps), []).append(coeff)
-    for alpha, coeffs in classes.items():
-        if len(set(coeffs)) != 1:
-            return False
-        # every vector in the class must appear, all with that coefficient
-        if len(coeffs) != comb(p.n, len(alpha)):
-            return False
-    return True
-
-
-def reverse_variables(p: Polynomial) -> Polynomial:
-    """The algebra involution x_i -> x_{n-i+1}; maps F_alpha to F_reversed(alpha)."""
-    return Polynomial(p.n, {tuple(reversed(e)): c for e, c in p.items()})
-
-
-def embed_shifted(p: Polynomial, n: int) -> Polynomial:
-    """View a polynomial in x_1..x_m as one in x_2..x_n (index shift by one)."""
-    if p.n + 1 != n:
-        raise ValueError(f"can only embed {p.n} variables into {p.n + 1}, got {n}")
-    return Polynomial(n, {(0,) + e: c for e, c in p.items()})
-
-
-def frel_decompose(alpha, n: int) -> tuple[Polynomial, Polynomial]:
-    """Split F_alpha(x_1..x_n) = x_1 * A + B along its first variable.
-
-    For alpha_1 > 1, A = F_(alpha_1 - 1, alpha_2, ...) in all n variables;
-    for alpha_1 = 1, A = F_(alpha_2, ...) in x_2..x_n.  In both cases
-    B = F_alpha(x_2..x_n).
-    """
-    alpha = check_composition(alpha)
-    if not alpha:
-        raise ValueError("the empty composition has no first part to peel")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if alpha[0] > 1:
-        a = fundamental_qsym((alpha[0] - 1,) + alpha[1:], n)
-    else:
-        a = embed_shifted(fundamental_qsym(alpha[1:], n - 1), n)
-    b = embed_shifted(fundamental_qsym(alpha, n - 1), n)
-    return a, b

@@ -37,90 +37,6 @@ from .poly import Polynomial
 from .qsym import check_fundamental_size, fundamental_qsym
 
 
-@dataclass(frozen=True)
-class BaseCase:
-    """eps is a composition followed by zeros: G_eps = F_alpha."""
-
-    alpha: tuple
-
-
-@dataclass(frozen=True)
-class EpsFactorization:
-    """eps = w 0 a beta 0*, with the zero at position k (1-based)."""
-
-    w: tuple
-    k: int
-    a: int
-    beta: tuple
-    n: int
-
-    def reassemble(self) -> tuple:
-        vec = self.w + (0, self.a) + self.beta
-        return vec + (0,) * (self.n - len(vec))
-
-
-def factorize(eps):
-    """Factor a nonzero vector for the G recursion.
-
-    Returns ``BaseCase(alpha)`` when no zero precedes the last nonzero entry,
-    else the unique ``EpsFactorization`` with ``k`` the position of the last
-    such zero.
-    """
-    eps = check_vector(eps)
-    ell = last_nonzero(eps)
-    if ell == 0:
-        raise ValueError("the zero vector has no factorization")
-    k = 0
-    for i in range(ell - 1, 0, -1):
-        if eps[i - 1] == 0:
-            k = i
-            break
-    if k == 0:
-        return BaseCase(alpha=eps[:ell])
-    return EpsFactorization(w=eps[: k - 1], k=k, a=eps[k], beta=eps[k + 1 : ell],
-                            n=len(eps))
-
-
-def rewrite_times_variable(k: int, phi) -> tuple[tuple, tuple]:
-    """Indices (plus, minus) with x_k * G_phi = G_plus - G_minus.
-
-    Two patterns, both rearrangements of the defining recursion:
-
-    * entries of ``phi`` from position k through its last nonzero entry are
-      all positive: plus bumps position k, minus inserts a zero at k and
-      bumps the entry pushed to k+1;
-    * ``phi`` is zero from position k on: plus and minus put a 1 at
-      positions k and k+1.
-
-    Anything else, or an index pushed past position n, is a domain error.
-    """
-    phi = check_vector(phi)
-    n = len(phi)
-    if not 1 <= k <= n:
-        raise ValueError(f"variable index {k} outside [1, {n}]")
-    if is_dyck(phi):
-        raise ValueError(f"{phi} is not transdiagonal")
-    ell = last_nonzero(phi)
-    if k > ell:
-        if k + 1 > n:
-            raise ValueError(f"x_{k} * G_{phi} would need {k + 1} positions")
-        plus = phi[:k - 1] + (1,) + phi[k:]
-        minus = phi[:k] + (1,) + phi[k + 1:]
-    else:
-        if any(e == 0 for e in phi[k - 1 : ell]):
-            raise ValueError(
-                f"{phi} has a zero between position {k} and its tail; "
-                "no rewriting rule applies"
-            )
-        if ell + 1 > n:
-            raise ValueError(f"x_{k} * G_{phi} would need {ell + 1} positions")
-        plus = phi[: k - 1] + (phi[k - 1] + 1,) + phi[k:]
-        shifted = phi[: k - 1] + (0, phi[k - 1] + 1) + phi[k:ell]
-        minus = shifted + (0,) * (n - len(shifted))
-    assert not is_dyck(plus) and not is_dyck(minus)
-    return plus, minus
-
-
 @dataclass
 class ReductionResult:
     """Dyck-supported remainder plus an exact certificate:
@@ -160,17 +76,18 @@ class GBasis:
         hit = self._memo.get(eps)
         if hit is not None:
             return hit
-        split = factorize(eps)
-        if isinstance(split, BaseCase):
-            result = dict.fromkeys(fundamental_qsym(split.alpha, self.n).support(), 1)
+        ell = last_nonzero(eps)
+        zeros = [i for i in range(1, ell) if not eps[i - 1]]  # 1-based positions
+        if not zeros:  # eps = alpha 0*
+            result = dict.fromkeys(fundamental_qsym(eps[:ell], self.n).support(), 1)
         else:
             # following `left` reaches F_c(eps) after one copy per zero before
             # the last nonzero entry: refuse a long chain before recursing
             alpha = zero_erasure(eps)
             size = check_fundamental_size(alpha, self.n)
-            check_size(size * (last_nonzero(eps) - len(alpha)),
+            check_size(size * len(zeros),
                        "terms on the G chain down to F_{} in {} variables", alpha, self.n)
-            k = split.k
+            k = zeros[-1]
             left = eps[:k - 1] + eps[k:] + (0,)  # w a beta 0*
             right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]  # w (a-1) beta 0*
             assert not is_dyck(left) and not is_dyck(right)
@@ -221,13 +138,20 @@ class GBasis:
         remainder = {e: Fraction(c, scale) for e, c in work.items()}
         return ReductionResult(Polynomial._trusted(self.n, remainder), certificate)
 
+    def _remainder(self, p: Polynomial) -> Polynomial:
+        """``normal_form(p).remainder``.  Every G element is homogeneous and
+        every Dyck vector has degree < n, so the terms of degree >= n reduce
+        to 0 and are dropped before reducing."""
+        low = {e: c for e, c in p.items() if sum(e) < self.n}
+        return self.normal_form(Polynomial._trusted(p.n, low)).remainder
+
     def is_member(self, p: Polynomial) -> bool:
         """True iff ``p`` lies in the ideal (zero remainder)."""
-        return self.normal_form(p).remainder.is_zero()
+        return self._remainder(p).is_zero()
 
     def coordinates(self, p: Polynomial) -> dict[tuple, Fraction]:
         """Coefficients of the coset of ``p`` on the Dyck monomial basis."""
-        return dict(self.normal_form(p).remainder.items())
+        return dict(self._remainder(p).items())
 
 
 _shared: dict[int, GBasis] = {}

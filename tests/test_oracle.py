@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsymq.combinat import ResourceLimitError, ballot, catalan, compositions_of, vectors_of_degree
+from qsymq.combinat import (
+    ResourceLimitError,
+    ballot,
+    catalan,
+    compositions_of,
+    is_dyck,
+    vectors_of_degree,
+)
 from qsymq.oracle import (
     IntegerRowSpace,
+    _slice,
     degree_columns,
     fraction_free_rank,
     generating_function_check,
@@ -16,9 +24,18 @@ from qsymq.oracle import (
     rank_report,
     row_space_member,
 )
-from qsymq.poly import Polynomial
+from qsymq.poly import Polynomial, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
-from qsymq.quotient import enumerate_transdiagonal, g_element
+from qsymq.quotient import enumerate_transdiagonal, g_element, normal_form
+
+
+def staircase_holds(n, d):
+    """The exponent vectors at the pivot columns of the degree-d slice are
+    exactly the transdiagonal ones: G is a Groebner basis, by elimination."""
+    space, index = _slice(n, d)
+    pivots = {exps for exps, col in index.items() if col in space.pivots}
+    return pivots == {exps for exps in index if not is_dyck(exps)}
+
 
 HILBERT_TABLE = {
     1: (1,),
@@ -164,6 +181,14 @@ class TestRowSpaceMembership:
     def test_zero_is_member(self):
         assert row_space_member(Polynomial.zero(3))
 
+    def test_input_minus_remainder(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            p = random_polynomial(rng, n, max_degree=n + 1)
+            reduced = p - normal_form(p).remainder
+            for part in reduced.homogeneous_components().values():
+                assert row_space_member(part), p
+
 
 class TestHilbertSeries:
     @pytest.mark.parametrize("n", sorted(HILBERT_TABLE))
@@ -184,6 +209,11 @@ class TestHilbertSeries:
         monkeypatch.setenv("QSYMQ_MAX_N", "8")
         expected = tuple(ballot(8, k) for k in range(8))
         assert hilbert_series(8, "oracle").coefficients == expected
+        assert all(staircase_holds(8, d) for d in range(8))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_staircase(self, n):
+        assert all(staircase_holds(n, d) for d in range(min(n, 6) + 1))
 
     def test_totals_are_catalan(self):
         for n in range(1, 11):
@@ -207,5 +237,5 @@ class TestGeneratingFunction:
 
     def test_order_cap(self, monkeypatch):
         monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="QSYMQ_MAX_N"):
             generating_function_check(13)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,15 +12,8 @@ from qsymq.combinat import (
     refinements,
 )
 from qsymq.poly import Polynomial
-from qsymq.qsym import (
-    embed_shifted,
-    f_product,
-    frel_decompose,
-    fundamental_qsym,
-    is_quasisymmetric,
-    monomial_qsym,
-    reverse_variables,
-)
+from qsymq.combinat import zero_erasure
+from qsymq.qsym import f_product, fundamental_qsym, monomial_qsym
 
 # the ten monomials of F_21 in four variables
 F21_N4 = {
@@ -157,6 +149,25 @@ class TestSizeCap:
             fundamental_qsym((99999999,), 3)
 
 
+def is_quasisymmetric(p):
+    """The coefficient of X^nu depends only on c(nu), over all nu in N^n."""
+    classes = {}
+    for exps, coeff in p.items():
+        classes.setdefault(zero_erasure(exps), []).append(coeff)
+    return all(len(set(cs)) == 1 and len(cs) == comb(p.n, len(alpha))
+               for alpha, cs in classes.items())
+
+
+def reverse(p):
+    """The variable reversal x_i -> x_(n-i+1)."""
+    return Polynomial(p.n, {e[::-1]: c for e, c in p.items()})
+
+
+def shift(p):
+    """p in x_1..x_m read as a polynomial in x_2..x_(m+1)."""
+    return Polynomial(p.n + 1, {(0,) + e: c for e, c in p.items()})
+
+
 class TestQuasiSymmetry:
     def test_fundamental_and_monomial_are_quasisymmetric(self):
         for alpha in [(2, 1), (1, 1), (3,), ()]:
@@ -177,48 +188,46 @@ class TestQuasiSymmetry:
 
 class TestReverseVariables:
     def test_monomial(self):
-        p = Polynomial.monomial(4, (2, 0, 1, 0))
-        assert reverse_variables(p) == Polynomial.monomial(4, (0, 1, 0, 2))
+        assert reverse(monomial_qsym((2, 1), 4)) == monomial_qsym((1, 2), 4)
 
     def test_fundamental_maps_to_reverse(self):
         for n in range(1, 6):
             for d in range(6):
                 for alpha in compositions_of(d):
-                    assert reverse_variables(fundamental_qsym(alpha, n)) == \
-                        fundamental_qsym(alpha[::-1], n)
-
-    @given(polynomials(n=4))
-    def test_involution(self, p):
-        assert reverse_variables(reverse_variables(p)) == p
+                    assert reverse(fundamental_qsym(alpha, n)) == fundamental_qsym(alpha[::-1], n)
 
     @given(polynomials(n=4), polynomials(n=4))
     def test_algebra_endomorphism(self, p, q):
-        assert reverse_variables(p * q) == reverse_variables(p) * reverse_variables(q)
+        assert reverse(p * q) == reverse(p) * reverse(q)
 
 
 class TestFirstVariableSplit:
+    """F_alpha = x1 * A + B with B = F_alpha(x_2..x_n), and A = F_(alpha_1 - 1, ...)
+    for alpha_1 > 1, else A = F_(alpha_2, ...)(x_2..x_n)."""
+
     def test_branch_with_large_first_part(self):
-        a, b = frel_decompose((2, 1), 3)
-        assert a == fundamental_qsym((1, 1), 3)
-        assert b == embed_shifted(fundamental_qsym((2, 1), 2), 3)
+        x1 = Polynomial.variable(3, 1)
+        assert fundamental_qsym((2, 1), 3) == \
+            x1 * fundamental_qsym((1, 1), 3) + shift(fundamental_qsym((2, 1), 2))
 
     def test_branch_with_unit_first_part(self):
-        a, b = frel_decompose((1, 2), 3)
-        assert a == embed_shifted(fundamental_qsym((2,), 2), 3)
+        x1 = Polynomial.variable(3, 1)
+        assert fundamental_qsym((1, 2), 3) == \
+            x1 * shift(fundamental_qsym((2,), 2)) + shift(fundamental_qsym((1, 2), 2))
 
     def test_single_part_one(self):
-        a, b = frel_decompose((1,), 2)
-        assert a == Polynomial.constant(2, 1)
-        assert b == Polynomial.monomial(2, (0, 1))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            frel_decompose((), 3)
+        x1 = Polynomial.variable(2, 1)  # A = F of the empty composition, 1
+        assert fundamental_qsym((1,), 2) == \
+            x1 * shift(fundamental_qsym((), 1)) + shift(fundamental_qsym((1,), 1))
 
     def test_identity_exhaustive(self):
         for n in range(2, 7):
             x1 = Polynomial.variable(n, 1)
             for d in range(1, 6):
                 for alpha in compositions_of(d):
-                    a, b = frel_decompose(alpha, n)
+                    if alpha[0] > 1:
+                        a = fundamental_qsym((alpha[0] - 1,) + alpha[1:], n)
+                    else:
+                        a = shift(fundamental_qsym(alpha[1:], n - 1))
+                    b = shift(fundamental_qsym(alpha, n - 1))
                     assert x1 * a + b == fundamental_qsym(alpha, n), (alpha, n)

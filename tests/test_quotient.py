@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import comb
 
@@ -14,21 +13,18 @@ from qsymq.combinat import (
     compositions_of,
     enumerate_dyck,
     is_dyck,
+    last_nonzero,
     vectors_of_degree,
 )
 from qsymq.poly import Polynomial, graded_lex_key, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import (
-    BaseCase,
-    EpsFactorization,
     GBasis,
     coordinates,
     enumerate_transdiagonal,
-    factorize,
     g_element,
     is_member,
     normal_form,
-    rewrite_times_variable,
     shared_basis,
 )
 
@@ -41,36 +37,28 @@ G1020_TERMS = {
 
 
 class TestFactorize:
+    """G_(w 0 a beta 0*) = G_(w a beta 0*) - x_k * G_(w (a-1) beta 0*), the
+    zero at k the last before the last nonzero entry; G_(alpha 0*) = F_alpha."""
+
     def test_recursive_case(self):
-        split = factorize((1, 0, 2, 0))
-        assert split == EpsFactorization(w=(1,), k=2, a=2, beta=(), n=4)
-        assert split.reassemble() == (1, 0, 2, 0)
+        x2 = Polynomial.variable(4, 2)
+        assert g_element((1, 0, 2, 0)) == g_element((1, 2, 0, 0)) - x2 * g_element((1, 1, 0, 0))
 
     def test_base_case(self):
-        assert factorize((2, 1, 0, 0)) == BaseCase(alpha=(2, 1))
+        for n in range(1, 6):
+            for alpha in compositions_of(n + 1):
+                if len(alpha) <= n:
+                    eps = alpha + (0,) * (n - len(alpha))
+                    assert g_element(eps) == fundamental_qsym(alpha, n), eps
 
     def test_leading_zero(self):
-        assert factorize((0, 2)) == EpsFactorization(w=(), k=1, a=2, beta=(), n=2)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            factorize((0, 0, 0))
+        x1 = Polynomial.variable(2, 1)
+        assert g_element((0, 2)) == g_element((2, 0)) - x1 * g_element((1, 0))
 
     def test_pivot_is_last_internal_zero(self):
-        split = factorize((1, 0, 2, 0, 3, 0))
-        assert split.k == 4 and split.a == 3 and split.w == (1, 0, 2)
-
-    def test_reassembly_round_trip(self):
-        for n in range(1, 6):
-            for d in range(1, n + 2):
-                for eps in vectors_of_degree(n, d):
-                    split = factorize(eps)
-                    if isinstance(split, EpsFactorization):
-                        assert split.reassemble() == eps
-                        assert split.a >= 1
-                        assert all(b >= 1 for b in split.beta)
-                    else:
-                        assert split.alpha + (0,) * (n - len(split.alpha)) == eps
+        x4 = Polynomial.variable(6, 4)
+        assert g_element((1, 0, 2, 0, 3, 0)) == \
+            g_element((1, 0, 2, 3, 0, 0)) - x4 * g_element((1, 0, 2, 2, 0, 0))
 
 
 class TestGElements:
@@ -118,38 +106,30 @@ class TestGElements:
 
 
 class TestRewriteRules:
+    """x_k * G_phi = G_plus - G_minus, two rearrangements of the recursion."""
+
     def test_insertion_pattern(self):
-        assert rewrite_times_variable(3, (3, 1, 0, 0, 0)) == \
-            ((3, 1, 1, 0, 0), (3, 1, 0, 1, 0))
+        basis, x3 = shared_basis(5), Polynomial.variable(5, 3)
+        assert x3 * basis.g((3, 1, 0, 0, 0)) == basis.g((3, 1, 1, 0, 0)) - basis.g((3, 1, 0, 1, 0))
 
     def test_bump_pattern(self):
-        assert rewrite_times_variable(3, (0, 3, 1, 0, 0)) == \
-            ((0, 3, 2, 0, 0), (0, 3, 0, 2, 0))
-
-    def test_pattern_mismatch(self):
-        with pytest.raises(ValueError):
-            rewrite_times_variable(2, (1, 0, 2))
-
-    def test_length_overflow(self):
-        with pytest.raises(ValueError):
-            rewrite_times_variable(3, (0, 0, 3))  # needs a fourth position
-        with pytest.raises(ValueError):
-            rewrite_times_variable(1, (2, 1, 1))  # tail would shift past n
-
-    def test_dyck_rejected(self):
-        with pytest.raises(ValueError):
-            rewrite_times_variable(1, (0, 1))
+        basis, x3 = shared_basis(5), Polynomial.variable(5, 3)
+        assert x3 * basis.g((0, 3, 1, 0, 0)) == basis.g((0, 3, 2, 0, 0)) - basis.g((0, 3, 0, 2, 0))
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_identity_exhaustive(self, n):
         basis = shared_basis(n)
         for phi in enumerate_transdiagonal(n, n - 1):
-            for k in range(1, n + 1):
-                try:
-                    plus, minus = rewrite_times_variable(k, phi)
-                except ValueError:
+            ell = last_nonzero(phi)
+            for k in range(1, n):
+                if k > ell:  # phi is zero from k on: a 1 at k, or at k + 1
+                    plus, minus = phi[:k - 1] + (1,) + phi[k:], phi[:k] + (1,) + phi[k + 1:]
+                elif ell < n and all(phi[k - 1:ell]):  # positive from k through ell
+                    bumped = phi[k - 1] + 1
+                    plus = phi[:k - 1] + (bumped,) + phi[k:]
+                    minus = phi[:k - 1] + (0, bumped) + phi[k:ell] + (0,) * (n - ell - 1)
+                else:
                     continue
-                assert not is_dyck(plus) and not is_dyck(minus)
                 lhs = Polynomial.variable(n, k) * basis.g(phi)
                 assert lhs == basis.g(plus) - basis.g(minus), (k, phi)
 
@@ -185,15 +165,15 @@ def reference_g(n, eps, memo):
     """G_eps by the defining recursion in Polynomial arithmetic, base case
     F_alpha: G_(w 0 a beta 0*) = G_(w a beta 0*) - x_k * G_(w (a-1) beta 0*)."""
     if eps not in memo:
-        split = factorize(eps)
-        if isinstance(split, BaseCase):
-            memo[eps] = fundamental_qsym(split.alpha, n)
+        ell = max(i for i, e in enumerate(eps, 1) if e)
+        zeros = [i for i in range(1, ell) if eps[i - 1] == 0]
+        if not zeros:
+            memo[eps] = fundamental_qsym(eps[:ell], n)
         else:
-            pad = (0,) * (n - split.k - len(split.beta))
-            left = split.w + (split.a,) + split.beta + pad
-            right = split.w + (split.a - 1,) + split.beta + pad
-            memo[eps] = (reference_g(n, left, memo)
-                         - Polynomial.variable(n, split.k) * reference_g(n, right, memo))
+            k = zeros[-1]
+            w, a, beta, pad = eps[:k - 1], eps[k], eps[k + 1:ell], (0,) * (n - ell + 1)
+            memo[eps] = (reference_g(n, w + (a,) + beta + pad, memo) - Polynomial.variable(n, k)
+                         * reference_g(n, w + (a - 1,) + beta + pad, memo))
     return memo[eps]
 
 
@@ -206,9 +186,9 @@ class TestAgainstPolynomialRecursion:
 
 
 @st.composite
-def small_polynomials(draw):
+def small_polynomials(draw, past_n=1):
     n = draw(st.integers(1, 5))
-    return draw(polynomials(n=n, max_degree=n + 1))
+    return draw(polynomials(n=n, max_degree=n + past_n))
 
 
 class TestAgainstGreedyRescan:
@@ -361,6 +341,21 @@ class TestCoordinates:
         assert coordinates(Polynomial.variable(2, 1)) == {(0, 1): Fraction(-1)}
         assert coordinates(Polynomial.zero(2)) == {}
         assert coordinates(Polynomial.monomial(3, (0, 0, 1))) == {(0, 0, 1): 1}
+
+
+class TestRemainderOnly:
+    """is_member and coordinates drop the terms of degree >= n first."""
+
+    @given(small_polynomials(past_n=2))
+    def test_agrees_with_normal_form(self, p):
+        remainder = normal_form(p).remainder
+        assert is_member(p) == remainder.is_zero()
+        assert coordinates(p) == dict(remainder.items())
+
+    def test_builds_no_g_of_degree_n_or_more(self):
+        basis = GBasis(9)
+        assert basis.is_member(Polynomial.monomial(9, (2,) * 5 + (0,) * 4))
+        assert not basis._memo
 
 
 class TestEnumerateTransdiagonal:
