@@ -24,14 +24,13 @@ Exit codes: 0 success, 1 usage error, 2 expression parse error,
 
 import argparse
 import json
-import random
 import re
 import sys
 from fractions import Fraction
 
-from . import combinat, oracle, quotient
-from .combinat import ResourceLimitError, check_vector, enumerate_dyck, is_dyck
-from .poly import Polynomial, random_polynomial
+from . import oracle, quotient
+from .combinat import ResourceLimitError, check_vector, enumerate_dyck
+from .poly import Polynomial
 from .qsym import f_product, fundamental_qsym, monomial_qsym
 
 
@@ -381,79 +380,14 @@ def cmd_gf_check(args) -> int:
     return 0 if holds else 3
 
 
-def _verify_checks(n, max_degree, long_run):
-    failures = []
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        if not ok:
-            failures.append(name)
-
-    for m in range(1, n + 1):
-        formula = oracle.hilbert_series(m, "formula")
-        enum = oracle.hilbert_series(m, "enum")
-        check(f"hilbert-formula-vs-enum-n{m}", formula == enum,
-              f"{formula} vs {enum}")
-    oracle_top = min(n, 6 if long_run else 4)
-    for m in range(1, oracle_top + 1):
-        formula = oracle.hilbert_series(m, "formula")
-        byrank = oracle.hilbert_series(m, "oracle")
-        check(f"hilbert-vs-oracle-n{m}", formula == byrank,
-              f"{formula} vs {byrank}")
-
-    basis = quotient.shared_basis(n)
-    bad = []
-    for eps in quotient.enumerate_transdiagonal(n, min(max_degree, n)):
-        exps, coeff = basis.g(eps).leading_monomial()
-        if exps != eps or coeff != 1:
-            bad.append(eps)
-    check("leading-monomials", not bad, f"failures: {bad[:5]}")
-
-    rng = random.Random(20_000 + n)
-    degree_top = min(max_degree, n + 1)
-    bad = []
-    for _ in range(25):
-        p = random_polynomial(rng, n, degree_top)
-        result = basis.normal_form(p)
-        rebuilt = result.remainder
-        for coeff, eps in result.certificate:
-            rebuilt = rebuilt + basis.g(eps).scale(coeff)
-        if rebuilt != p:
-            bad.append("certificate identity")
-            break
-        if any(not is_dyck(e) for e in result.remainder.support()):
-            bad.append("remainder support")
-            break
-        again = basis.normal_form(result.remainder)
-        if again.remainder != result.remainder or again.certificate:
-            bad.append("idempotence")
-            break
-    check("certificates", not bad, "; ".join(bad))
-
-    if n <= 5:
-        residue = [v for v in combinat.vectors_of_degree(n, n)
-                   if not basis.normal_form(Polynomial.monomial(n, v)).remainder.is_zero()]
-        check("degree-n-vanishing", not residue, f"failures: {residue[:5]}")
-    return checks, failures
-
-
 def cmd_verify(args) -> int:
-    max_degree = args.max_degree if args.max_degree is not None else args.n
-    checks, failures = _verify_checks(args.n, max_degree, args.long)
-    record = {"n": args.n, "operation": "verify", "checks": checks,
-              "ok": not failures}
-    if args.json:
-        print(json.dumps(record))
-    else:
-        for item in checks:
-            if item["ok"]:
-                print(f"ok   {item['name']}")
-            else:
-                print(f"FAIL {item['name']}: {item['detail']}")
-        print("all checks passed" if not failures
-              else f"{len(failures)} check(s) failed")
-    return 0 if not failures else 3
+    checks = oracle.verify(args.n, args.max_degree, args.long)
+    failed = sum(not item["ok"] for item in checks)
+    record = {"n": args.n, "operation": "verify", "checks": checks, "ok": not failed}
+    _emit(args, record, lambda: "\n".join(
+        [f"ok   {c['name']}" if c["ok"] else f"FAIL {c['name']}: {c['detail']}" for c in checks]
+        + [f"{failed} check(s) failed" if failed else "all checks passed"]))
+    return 3 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ stay sparse throughout.  Cross-checks: the ballot-number formula, direct
 Dyck-vector enumeration, and the closed-form generating function.
 """
 
+import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
-from . import combinat
-from .combinat import ResourceLimitError, ballot, compositions_of, vectors_of_degree
-from .poly import Polynomial, graded_lex_key
+from . import combinat, quotient
+from .combinat import ResourceLimitError, ballot, compositions_of, is_dyck, vectors_of_degree
+from .poly import Polynomial, graded_lex_key, random_polynomial
+from .qsym import monomial_qsym
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +129,6 @@ def slice_generators(n: int, d: int):
 
 
 def _generator_rows(n: int, d: int, index):
-    from .qsym import monomial_qsym
-
     for mu, alpha in slice_generators(n, d):
         yield {index[tuple(a + b for a, b in zip(mu, exps))]: int(coeff)
                for exps, coeff in monomial_qsym(alpha, n).items()}
@@ -230,6 +230,68 @@ def hilbert_series(n: int, method: str = "formula") -> HilbertSeries:
     else:
         raise ValueError(f"unknown method {method!r}")
     return HilbertSeries(n, tuple(coeffs))
+
+
+def verify(n: int, max_degree: int | None = None, long_run: bool = False) -> list[dict]:
+    """The cross-check suite, as records ``{"name", "ok", "detail"}``: Hilbert
+    series by formula, enumeration and elimination; LM(G_eps) = X^eps up to
+    degree min(max_degree, n); 25 seeded certificates, checked on the
+    kernel's integer G dicts; and, for n <= 5, every degree-n monomial
+    reducing to 0.  The G chains are counted, degree by degree, first.
+    """
+    max_degree = n if max_degree is None else max_degree
+    indices = []  # transdiagonal, ascending graded lex
+    for d in range(1, min(max_degree, n) + 1):
+        for eps in vectors_of_degree(n, d):
+            if not is_dyck(eps):
+                quotient.check_chain(eps, n)
+                indices.append(eps)
+    basis = quotient.shared_basis(n)
+    checks = []
+
+    def check(name, ok, detail=""):
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    for m in range(1, n + 1):
+        formula, enum = hilbert_series(m, "formula"), hilbert_series(m, "enum")
+        check(f"hilbert-formula-vs-enum-n{m}", formula == enum, f"{formula} vs {enum}")
+    for m in range(1, min(n, 6 if long_run else 4) + 1):
+        formula, byrank = hilbert_series(m, "formula"), hilbert_series(m, "oracle")
+        check(f"hilbert-vs-oracle-n{m}", formula == byrank, f"{formula} vs {byrank}")
+
+    bad = []
+    for eps in indices:
+        g = basis._g(eps)
+        if max(g, key=graded_lex_key) != eps or g[eps] != 1:
+            bad.append(eps)
+    check("leading-monomials", not bad, f"failures: {bad[:5]}")
+
+    rng = random.Random(20_000 + n)
+    for _ in range(25):
+        p = random_polynomial(rng, n, min(max_degree, n + 1))
+        result = basis.normal_form(p)
+        scale, rest = p.integer_terms()  # p - remainder - certificate, times scale
+        for coeff, eps in result.certificate:
+            c = int(coeff * scale)
+            for exps, x in basis._g(eps).items():
+                rest[exps] = rest.get(exps, 0) - c * x
+        for exps, coeff in result.remainder.items():
+            rest[exps] = rest.get(exps, 0) - coeff * scale
+        again = basis.normal_form(result.remainder)
+        bad = [name for name, ok in [
+            ("certificate identity", not any(rest.values())),
+            ("remainder support", all(map(is_dyck, result.remainder.support()))),
+            ("idempotence", again.remainder == result.remainder and not again.certificate),
+        ] if not ok][:1]
+        if bad:
+            break
+    check("certificates", not bad, "; ".join(bad))
+
+    if n <= 5:
+        residue = [v for v in vectors_of_degree(n, n)
+                   if not basis.normal_form(Polynomial.monomial(n, v)).remainder.is_zero()]
+        check("degree-n-vanishing", not residue, f"failures: {residue[:5]}")
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,10 @@ class GBasis:
         hit = self._memo.get(eps)
         if hit is not None:
             return hit
-        ell = last_nonzero(eps)
-        zeros = [i for i in range(1, ell) if not eps[i - 1]]  # 1-based positions
+        zeros = check_chain(eps, self.n)
         if not zeros:  # eps = alpha 0*
-            result = dict.fromkeys(fundamental_qsym(eps[:ell], self.n).support(), 1)
+            result = dict.fromkeys(fundamental_qsym(zero_erasure(eps), self.n).support(), 1)
         else:
-            # following `left` reaches F_c(eps) after one copy per zero before
-            # the last nonzero entry: refuse a long chain before recursing
-            alpha = zero_erasure(eps)
-            size = check_fundamental_size(alpha, self.n)
-            check_size(size * len(zeros),
-                       "terms on the G chain down to F_{} in {} variables", alpha, self.n)
             k = zeros[-1]
             left = eps[:k - 1] + eps[k:] + (0,)  # w a beta 0*
             right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]  # w (a-1) beta 0*
@@ -152,6 +145,17 @@ class GBasis:
     def coordinates(self, p: Polynomial) -> dict[tuple, Fraction]:
         """Coefficients of the coset of ``p`` on the Dyck monomial basis."""
         return dict(self._remainder(p).items())
+
+
+def check_chain(eps, n: int) -> list[int]:
+    """The 1-based positions of the zeros of ``eps`` before its last nonzero
+    entry: G_eps copies F_c(eps) once per zero on its ``left`` chain, and
+    ``ResourceLimitError`` is raised, before any is built, past ``SIZE_CAP``."""
+    zeros = [i for i in range(1, last_nonzero(eps)) if not eps[i - 1]]
+    alpha = zero_erasure(eps)
+    check_size(check_fundamental_size(alpha, n) * len(zeros),
+               "terms on the G chain down to F_{} in {} variables", alpha, n)
+    return zeros
 
 
 _shared: dict[int, GBasis] = {}
