@@ -317,20 +317,16 @@ def cmd_gbasis(args) -> int:
 
 def cmd_reduce(args) -> int:
     p = parse_polynomial(_expression(args), args.n)
+    if not (args.certificate or args.json):  # no certificate: drop degree >= n
+        print(render_polynomial(quotient.shared_basis(args.n).remainder(p)))
+        return 0
     result = quotient.normal_form(p)
     certificate = [{"coeff": str(c), "eps": list(e)}
                    for c, e in result.certificate]
     record = _polynomial_record("reduce", result.remainder, certificate=certificate)
-
-    def text():
-        lines = [render_polynomial(result.remainder)]
-        if args.certificate:
-            lines.append("certificate:")
-            for c, e in result.certificate:
-                lines.append(f"  {c} * G_{','.join(str(x) for x in e)}")
-        return "\n".join(lines)
-
-    _emit(args, record, text)
+    _emit(args, record, lambda: "\n".join(
+        [render_polynomial(result.remainder), "certificate:"]
+        + [f"  {c} * G_{','.join(str(x) for x in e)}" for c, e in result.certificate]))
     return 0
 
 

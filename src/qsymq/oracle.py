@@ -234,8 +234,9 @@ def hilbert_series(n: int, method: str = "formula") -> HilbertSeries:
 
 def verify(n: int, max_degree: int | None = None, long_run: bool = False) -> list[dict]:
     """The cross-check suite, as records ``{"name", "ok", "detail"}``: Hilbert
-    series by formula, enumeration and elimination; LM(G_eps) = X^eps up to
-    degree min(max_degree, n); 25 seeded certificates, checked on the
+    series by formula, enumeration and elimination; the staircase (the pivots
+    of each eliminated slice are its transdiagonal vectors); LM(G_eps) = X^eps
+    up to degree min(max_degree, n); 25 seeded certificates, checked on the
     kernel's integer G dicts; and, for n <= 5, every degree-n monomial
     reducing to 0.  The G chains are counted, degree by degree, first.
     """
@@ -258,6 +259,12 @@ def verify(n: int, max_degree: int | None = None, long_run: bool = False) -> lis
     for m in range(1, min(n, 6 if long_run else 4) + 1):
         formula, byrank = hilbert_series(m, "formula"), hilbert_series(m, "oracle")
         check(f"hilbert-vs-oracle-n{m}", formula == byrank, f"{formula} vs {byrank}")
+        bad = []
+        for d in range(m):  # the pivots of a slice are its leading monomials
+            space, index = _slice(m, d)
+            if any((col in space.pivots) == is_dyck(e) for e, col in index.items()):
+                bad.append(d)
+        check(f"staircase-n{m}", not bad, f"degrees: {bad}")
 
     bad = []
     for eps in indices:

@@ -131,7 +131,7 @@ class GBasis:
         remainder = {e: Fraction(c, scale) for e, c in work.items()}
         return ReductionResult(Polynomial._trusted(self.n, remainder), certificate)
 
-    def _remainder(self, p: Polynomial) -> Polynomial:
+    def remainder(self, p: Polynomial) -> Polynomial:
         """``normal_form(p).remainder``.  Every G element is homogeneous and
         every Dyck vector has degree < n, so the terms of degree >= n reduce
         to 0 and are dropped before reducing."""
@@ -140,11 +140,11 @@ class GBasis:
 
     def is_member(self, p: Polynomial) -> bool:
         """True iff ``p`` lies in the ideal (zero remainder)."""
-        return self._remainder(p).is_zero()
+        return self.remainder(p).is_zero()
 
     def coordinates(self, p: Polynomial) -> dict[tuple, Fraction]:
         """Coefficients of the coset of ``p`` on the Dyck monomial basis."""
-        return dict(self._remainder(p).items())
+        return dict(self.remainder(p).items())
 
 
 def check_chain(eps, n: int) -> list[int]:

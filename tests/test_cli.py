@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import polynomials
-from qsymq import cli
+from qsymq import cli, oracle, quotient
 from qsymq.cli import (
     ParseError,
     main,
@@ -18,7 +18,7 @@ from qsymq.cli import (
     render_polynomial,
 )
 from qsymq.poly import Polynomial
-from qsymq.quotient import g_element, normal_form
+from qsymq.quotient import ReductionResult, g_element, normal_form, shared_basis
 
 
 class TestParser:
@@ -182,6 +182,13 @@ class TestSubcommands:
         assert code == 0
         assert out.strip() == "0"
 
+    def test_text_reduce_builds_no_g_of_degree_n_or_more(self, capsys, monkeypatch):
+        monkeypatch.setattr(quotient, "_shared", {})
+        code, out, _ = run_cli(capsys, "reduce", "-n", "9", "--expr",
+                               "x1^2*x2^2*x3^2*x4^2*x5^2")
+        assert (code, out) == (0, "0\n")
+        assert not shared_basis(9)._memo
+
     def test_reduce_json_reingests(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "-n", "3", "--expr",
                                "x1^2 + 2*x2 - 1/3", "--json")
@@ -253,6 +260,45 @@ class TestSubcommands:
         assert code == 0 and "holds" in out
         code, out, _ = run_cli(capsys, "gf-check", "--order", "2", "--as-printed")
         assert code == 3 and "FAILS" in out
+
+
+class TestVerifyCanFail:
+    """Each check of ``verify`` reports a broken kernel or oracle."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_basis(self, monkeypatch):
+        monkeypatch.setattr(quotient, "_shared", {})
+
+    def test_dropped_certificate_entry(self, capsys, monkeypatch):
+        exact = quotient.GBasis.normal_form
+
+        def drop_first(self, p):
+            result = exact(self, p)
+            return ReductionResult(result.remainder, result.certificate[1:])
+
+        monkeypatch.setattr(quotient.GBasis, "normal_form", drop_first)
+        code, out, _ = run_cli(capsys, "verify", "-n", "3")
+        assert code == 3
+        assert "FAIL certificates: certificate identity" in out.splitlines()
+
+    def test_corrupted_g(self, capsys):
+        # G_(0,0,3,0,1) is no G's `left` or `right`, and the Dyck term put
+        # above its index leaves the reductions through it finite
+        shared_basis(5)._memo[(0, 0, 3, 0, 1)] = {(0, 0, 3, 0, 1): 1, (0, 1, 0, 0, 3): 1}
+        code, out, _ = run_cli(capsys, "verify", "-n", "5")
+        assert code == 3
+        assert "FAIL leading-monomials: failures: [(0, 0, 3, 0, 1)]" in out.splitlines()
+
+    def test_ascending_oracle_columns(self, capsys, monkeypatch):
+        # the ranks stay right, but the pivots are no longer leading monomials
+        columns = oracle.degree_columns
+        monkeypatch.setattr(oracle, "degree_columns", lambda n, d: columns(n, d)[::-1])
+        monkeypatch.setattr(oracle, "_slice_cache", {})
+        code, out, _ = run_cli(capsys, "verify", "-n", "3", "--json")
+        assert code == 3
+        checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+        assert all(ok for name, ok in checks.items() if name.startswith("hilbert-vs-oracle"))
+        assert (checks["staircase-n1"], checks["staircase-n2"]) == (True, False)
 
 
 class TestExitCodes:
@@ -331,10 +377,27 @@ class TestPolynomialCost:
 
     @pytest.mark.parametrize("argv", [
         ("reduce", "-n", "3", "--expr", "x1^99999999"),
+        ("reduce", "-n", "1100", "--expr", "x1100^1100"),
+        # 1,475 steps through about 5.4 M G terms when reduced
+        ("reduce", "-n", "9", "--expr", "x1^2*x2^2*x3^2*x4^2*x5^2"),
+    ])
+    def test_text_reduce_drops_degree_n_and_above(self, argv):
+        proc = self.run(*argv)
+        assert proc.returncode == 0 and proc.stdout == "0\n"
+
+    @pytest.mark.parametrize("n", ["9", "20"])
+    def test_verify_counts_g_chains_first(self, n):
+        proc = self.run("verify", "-n", n)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("resource limit:")
+
+    @pytest.mark.parametrize("argv", [
+        # a certificate needs the G element; text-mode reduce drops degree >= n
+        ("reduce", "-n", "3", "--expr", "x1^99999999", "--certificate"),
         ("gbasis", "-n", "3", "--vector", "99999999"),
         ("qsym-mul", "-n", "3", "--left", "12", "--right", "12"),
         # the G recursion is about n deep before it reaches F_(1100)
-        ("reduce", "-n", "1100", "--expr", "x1100^1100"),
+        ("reduce", "-n", "1100", "--expr", "x1100^1100", "--certificate"),
         # tiny output, but the G chain copies ~C(447, 2) terms 445 times
         ("reduce", "-n", "447", "--expr", "x1*x447"),
     ])

@@ -358,6 +358,37 @@ class TestRemainderOnly:
         assert not basis._memo
 
 
+class TestAgainstSympyGroebner:
+    """An independent Groebner basis of the ideal, from sympy."""
+
+    @pytest.mark.parametrize("n,minimal", [(3, 4), (4, 9), (5, 23)])
+    def test_remainders_and_leading_monomials(self, n, minimal, rng):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x1:{n + 1}")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+                x**e for x, e in zip(xs, exps)) for exps, c in p.items()), sympy.S.Zero)
+
+        def terms(expr):
+            return {exps: Fraction(int(c.p), int(c.q))
+                    for exps, c in sympy.Poly(expr, *xs).terms() if c}
+
+        # the ideal is generated in degrees <= n: all of degree n is transdiagonal
+        generators = [to_sympy(monomial_qsym(alpha, n)) for d in range(1, n + 1)
+                      for alpha in compositions_of(d) if len(alpha) <= n]
+        basis = sympy.groebner(generators, *xs, order="grlex", domain="QQ")
+        for _ in range(30):
+            p = random_polynomial(rng, n, max_degree=n + 1)
+            _, remainder = basis.reduce(to_sympy(p))
+            assert terms(remainder) == dict(normal_form(p).remainder.items())
+        leading = {sympy.Poly(g, *xs).monoms(order="grlex")[0] for g in basis.exprs}
+        transdiagonal = enumerate_transdiagonal(n, n)
+        lowest = {e for e in transdiagonal  # no transdiagonal proper divisor
+                  if all(is_dyck(e[:i] + (e[i] - 1,) + e[i + 1:]) for i in range(n) if e[i])}
+        assert leading == lowest and len(lowest) == minimal
+
+
 class TestEnumerateTransdiagonal:
     def test_small(self):
         assert enumerate_transdiagonal(2, 2) == [(1, 0), (0, 2), (1, 1), (2, 0)]
