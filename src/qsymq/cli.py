@@ -377,7 +377,7 @@ def cmd_gf_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = oracle.verify(args.n, args.max_degree, args.long)
+    checks = oracle.verify(args.n, args.max_degree)
     failed = sum(not item["ok"] for item in checks)
     record = {"n": args.n, "operation": "verify", "checks": checks, "ok": not failed}
     _emit(args, record, lambda: "\n".join(
@@ -457,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-check suite (exit 3 on mismatch)")
     common(p)
     p.add_argument("--max-degree", type=int, default=None, metavar="D")
-    p.add_argument("--long", action="store_true",
-                   help="include the slow exact-elimination checks")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("gf-check", help="generating-function identity verdict")

@@ -9,19 +9,18 @@ There are exactly ``catalan(n)`` Dyck vectors of length ``n``.
 """
 
 import math
-import os
 from itertools import combinations
 
 Composition = tuple[int, ...]
 ExponentVector = tuple[int, ...]
 
-# Desk-scale caps.  Counting formulas stay exact for any n, but path
-# enumeration is exponential; refuse silently huge jobs instead of hanging.
+# Desk-scale caps on n.  Counting formulas stay exact for any n, but path
+# enumeration is exponential and exact elimination grows faster still;
+# refuse silently huge jobs instead of hanging.
 COUNTING_CAP = 20
 ENUMERATION_CAP = 12
-ORACLE_CAP = 6
+ORACLE_CAP = 7
 # Terms of one F_alpha, or shuffle words of one F product, built per request.
-# A count, not an n, so QSYMQ_MAX_N does not raise it.
 SIZE_CAP = 100_000
 
 
@@ -29,26 +28,9 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds the desk-scale caps."""
 
 
-def desk_cap(default: int) -> int:
-    """Effective cap: the QSYMQ_MAX_N environment override, else ``default``.
-
-    A value that is not an integer raises ``ValueError``.
-    """
-    raw = os.environ.get("QSYMQ_MAX_N")
-    if raw is None:
-        return default
-    try:
-        return max(default, int(raw))
-    except ValueError:
-        raise ValueError(f"QSYMQ_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _check_cap(n: int, default: int, what: str) -> None:
-    cap = desk_cap(default)
+def _check_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
-        raise ResourceLimitError(
-            f"{what} capped at n <= {cap} (set QSYMQ_MAX_N to raise); got n = {n}"
-        )
+        raise ResourceLimitError(f"{what} capped at n <= {cap}; got n = {n}")
 
 
 def check_size(count: int, what: str, *args) -> None:

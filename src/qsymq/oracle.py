@@ -141,6 +141,7 @@ def _slice(n: int, d: int) -> tuple[IntegerRowSpace, dict]:
     """The eliminated degree-d slice and its column index {exps: column}."""
     key = (n, d)
     if key not in _slice_cache:
+        _check_oracle_caps(n, d)
         index = {exps: i for i, exps in enumerate(degree_columns(n, d))}
         space = IntegerRowSpace(len(index)).add_until_full(_generator_rows(n, d, index))
         _slice_cache[key] = space, index
@@ -149,7 +150,6 @@ def _slice(n: int, d: int) -> tuple[IntegerRowSpace, dict]:
 
 def ideal_degree_rank(n: int, d: int) -> int:
     """Rank over Q of the degree-d slice of the ideal."""
-    _check_oracle_caps(n, d)
     return _slice(n, d)[0].rank
 
 
@@ -165,9 +165,7 @@ def row_space_member(p: Polynomial) -> bool:
         return True
     if not p.is_homogeneous():
         raise ValueError("row-space membership needs a homogeneous polynomial")
-    d = p.degree()
-    _check_oracle_caps(p.n, d)
-    space, index = _slice(p.n, d)
+    space, index = _slice(p.n, p.degree())
     _, terms = p.integer_terms()
     return space.contains({index[exps]: c for exps, c in terms.items()})
 
@@ -175,7 +173,6 @@ def row_space_member(p: Polynomial) -> bool:
 def rank_record(n: int, d: int) -> dict:
     """Counts of the degree-d elimination: columns, generator rows, rank and
     quotient dimension."""
-    _check_oracle_caps(n, d)
     space, index = _slice(n, d)
     return {"degree": d, "columns": len(index),
             "generator_rows": len(slice_generators(n, d)),
@@ -232,22 +229,24 @@ def hilbert_series(n: int, method: str = "formula") -> HilbertSeries:
     return HilbertSeries(n, tuple(coeffs))
 
 
-def verify(n: int, max_degree: int | None = None, long_run: bool = False) -> list[dict]:
+def verify(n: int, max_degree: int | None = None) -> list[dict]:
     """The cross-check suite, as records ``{"name", "ok", "detail"}``: Hilbert
-    series by formula, enumeration and elimination; the staircase (the pivots
-    of each eliminated slice are its transdiagonal vectors); LM(G_eps) = X^eps
-    up to degree min(max_degree, n); 25 seeded certificates, checked on the
-    kernel's integer G dicts; and, for n <= 5, every degree-n monomial
-    reducing to 0.  The G chains are counted, degree by degree, first.
+    series by formula, enumeration and elimination up to ORACLE_CAP; the
+    staircase (the pivots of each eliminated slice are its transdiagonal
+    vectors); LM(G_eps) = X^eps up to degree min(max_degree, n); 25 seeded
+    certificates, on the kernel's integer G dicts; and, for n <= 5, every
+    degree-n monomial reducing to 0.  The G chains are counted first.
     """
+    basis = quotient.shared_basis(n)  # refuses n < 1; builds no G yet
     max_degree = n if max_degree is None else max_degree
+    if max_degree < 0:
+        raise ValueError(f"need max_degree >= 0, got {max_degree}")
     indices = []  # transdiagonal, ascending graded lex
     for d in range(1, min(max_degree, n) + 1):
         for eps in vectors_of_degree(n, d):
             if not is_dyck(eps):
                 quotient.check_chain(eps, n)
                 indices.append(eps)
-    basis = quotient.shared_basis(n)
     checks = []
 
     def check(name, ok, detail=""):
@@ -256,7 +255,7 @@ def verify(n: int, max_degree: int | None = None, long_run: bool = False) -> lis
     for m in range(1, n + 1):
         formula, enum = hilbert_series(m, "formula"), hilbert_series(m, "enum")
         check(f"hilbert-formula-vs-enum-n{m}", formula == enum, f"{formula} vs {enum}")
-    for m in range(1, min(n, 6 if long_run else 4) + 1):
+    for m in range(1, min(n, combinat.ORACLE_CAP) + 1):
         formula, byrank = hilbert_series(m, "formula"), hilbert_series(m, "oracle")
         check(f"hilbert-vs-oracle-n{m}", formula == byrank, f"{formula} vs {byrank}")
         bad = []

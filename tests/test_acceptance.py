@@ -11,8 +11,6 @@ import time
 from fractions import Fraction
 from math import comb
 
-import pytest
-
 from conftest import random_vector
 from qsymq import cli, oracle, quotient
 from qsymq.combinat import (
@@ -82,19 +80,12 @@ def test_02_catalan_dimensions():
 def test_03_oracle_agreement():
     start = time.perf_counter()
     ok = True
-    for n in range(1, 6):
+    for n in range(1, 7):
         expected = [ballot(n, k) for k in range(n)] + [0, 0]
         ok = ok and oracle.quotient_dims(n, n + 1) == expected
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
-    report(3, "exact elimination matches ballot dims, n <= 5", ok, elapsed)
-
-
-@pytest.mark.slow
-def test_03_oracle_agreement_long():
-    expected = [ballot(6, k) for k in range(6)] + [0, 0]
-    ok = oracle.quotient_dims(6, 7) == expected
-    report(3, "exact elimination matches ballot dims, n = 6 (long)", ok)
+    report(3, "exact elimination matches ballot dims, n <= 6", ok, elapsed)
 
 
 def test_04_leading_monomials():

@@ -241,6 +241,12 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "verify", "-n", "5")
         assert code == 0
 
+    def test_verify_checks_oracle_at_6(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-n", "6", "--json")
+        names = {check["name"] for check in json.loads(out)["checks"]}
+        assert code == 0
+        assert {"hilbert-vs-oracle-n6", "staircase-n6"} <= names
+
     @pytest.mark.parametrize("argv", [
         ["qsym", "-n", "3", "--fundamental", "2,1", "--json"],
         ["gbasis", "-n", "3", "--vector", "1,0,1", "--json"],
@@ -310,7 +316,7 @@ class TestExitCodes:
         (["gbasis", "-n", "2"], 1),                         # missing --vector
         (["gbasis", "-n", "2", "--vector", "0,1,0"], 1),    # vector longer than n
         (["hilbert", "-n", "40"], 1),                       # resource cap
-        (["hilbert", "-n", "7", "--method", "oracle"], 1),  # oracle cap
+        (["hilbert", "-n", "8", "--method", "oracle"], 1),  # oracle cap
         (["reduce", "-n", "2", "--expr", "x1 +"], 2),       # syntax error
         (["reduce", "-n", "2", "--expr", "x5"], 2),         # variable out of range
         (["member", "-n", "2", "--expr", "x1"], 3),         # not in the ideal
@@ -321,11 +327,16 @@ class TestExitCodes:
     def test_contract(self, capsys, argv, expected):
         assert main(argv) == expected
 
-    def test_malformed_max_n(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSYMQ_MAX_N", "seven")
-        assert main(["hilbert", "-n", "7", "--method", "oracle"]) == 1
+    def test_negative_max_degree(self, capsys):
+        assert main(["verify", "-n", "3", "--max-degree", "-1"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "'seven'" in err
+        assert err.startswith("error:") and "max_degree" in err
+        assert "randrange" not in err
+
+    def test_oracle_at_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
+        code, out, _ = run_cli(capsys, "hilbert", "-n", "7", "--method", "oracle")
+        assert code == 0 and out == "1 6 20 48 90 132 132\n"
 
     def test_reduce_missing_file(self, capsys):
         code = main(["reduce", "-n", "2", "--file", "/no/such/file"])
@@ -384,6 +395,12 @@ class TestPolynomialCost:
     def test_text_reduce_drops_degree_n_and_above(self, argv):
         proc = self.run(*argv)
         assert proc.returncode == 0 and proc.stdout == "0\n"
+
+    def test_oracle_cap_is_not_raised_by_environment(self, monkeypatch):
+        monkeypatch.setenv("QSYMQ_MAX_N", "8")
+        proc = self.run("hilbert", "-n", "8", "--method", "oracle")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("resource limit:")
 
     @pytest.mark.parametrize("n", ["9", "20"])
     def test_verify_counts_g_chains_first(self, n):

@@ -121,16 +121,10 @@ class TestEnumeration:
             assert len(enumerate_dyck(n, k)) == ballot(n, k)
 
     def test_cap(self, monkeypatch):
-        monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
         with pytest.raises(ResourceLimitError):
             enumerate_dyck(13)
-        monkeypatch.setenv("QSYMQ_MAX_N", "13")
+        monkeypatch.setattr(combinat, "ENUMERATION_CAP", 13)
         assert len(enumerate_dyck(13, 0)) == 1
-
-    def test_malformed_cap_override(self, monkeypatch):
-        monkeypatch.setenv("QSYMQ_MAX_N", "seven")
-        with pytest.raises(ValueError, match="QSYMQ_MAX_N.*'seven'"):
-            combinat.desk_cap(6)
 
 
 class TestCounting:

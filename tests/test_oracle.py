@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qsymq import combinat
 from qsymq.combinat import (
     ResourceLimitError,
     ballot,
@@ -126,10 +127,9 @@ class TestDegreeSlices:
         assert quotient_dims(2, 3) == [1, 1, 0, 0]
         assert quotient_dims(3, 4) == [1, 2, 2, 0, 0]
 
-    def test_caps(self, monkeypatch):
-        monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
+    def test_caps(self):
         with pytest.raises(ResourceLimitError):
-            ideal_degree_rank(7, 1)
+            ideal_degree_rank(8, 1)
         with pytest.raises(ResourceLimitError):
             ideal_degree_rank(3, 5)
 
@@ -200,13 +200,12 @@ class TestHilbertSeries:
         assert hilbert_series(n, "enum") == hilbert_series(n, "formula")
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_oracle_agrees(self, n, monkeypatch):
-        monkeypatch.setenv("QSYMQ_MAX_N", "7")
+    def test_oracle_agrees(self, n):
         assert hilbert_series(n, "oracle") == hilbert_series(n, "formula")
 
     @pytest.mark.slow
     def test_oracle_agrees_at_8(self, monkeypatch):
-        monkeypatch.setenv("QSYMQ_MAX_N", "8")
+        monkeypatch.setattr(combinat, "ORACLE_CAP", 8)
         expected = tuple(ballot(8, k) for k in range(8))
         assert hilbert_series(8, "oracle").coefficients == expected
         assert all(staircase_holds(8, d) for d in range(8))
@@ -235,7 +234,6 @@ class TestGeneratingFunction:
     def test_printed_form_fails(self):
         assert not generating_function_check(2, as_printed=True)
 
-    def test_order_cap(self, monkeypatch):
-        monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
-        with pytest.raises(ResourceLimitError, match="QSYMQ_MAX_N"):
+    def test_order_cap(self):
+        with pytest.raises(ResourceLimitError, match="capped at n <= 12"):
             generating_function_check(13)

@@ -143,11 +143,6 @@ class TestSizeCap:
         with pytest.raises(ResourceLimitError):
             f_product((2, 1), (1, 2))
 
-    def test_cap_is_not_raised_by_max_n(self, monkeypatch):
-        monkeypatch.setenv("QSYMQ_MAX_N", "100")
-        with pytest.raises(ResourceLimitError):
-            fundamental_qsym((99999999,), 3)
-
 
 def is_quasisymmetric(p):
     """The coefficient of X^nu depends only on c(nu), over all nu in N^n."""
