@@ -29,9 +29,9 @@ import sys
 from fractions import Fraction
 
 from . import oracle, quotient
-from .combinat import ResourceLimitError, check_vector, enumerate_dyck
+from .combinat import ResourceLimitError, check_size, check_vector, enumerate_dyck
 from .poly import Polynomial
-from .qsym import f_product, fundamental_qsym, monomial_qsym
+from .qsym import check_fundamental_size, f_product, fundamental_qsym, monomial_qsym
 
 
 class ParseError(ValueError):
@@ -355,6 +355,8 @@ def cmd_qsym_mul(args) -> int:
     alpha = _composition_arg(args.left)
     beta = _composition_arg(args.right)
     expansion = f_product(alpha, beta)
+    check_size(check_fundamental_size(alpha, args.n) * check_fundamental_size(beta, args.n),
+               "term products in F_{} * F_{} in {} variables", alpha, beta, args.n)
     product = fundamental_qsym(alpha, args.n) * fundamental_qsym(beta, args.n)
     record = _polynomial_record(
         "qsym-mul", product,

@@ -81,32 +81,31 @@ def descent_set(alpha) -> frozenset:
     return frozenset(out)
 
 
-def refinements(alpha) -> list[Composition]:
-    """All refinements of ``alpha``: supersets of D(alpha) inside [1, |alpha|-1].
+def refinements(alpha, n: int) -> list[Composition]:
+    """The refinements of ``alpha`` with at most ``n`` parts: the supersets of
+    D(alpha) inside [1, |alpha|-1] with at most ``n - 1`` elements, listed by
+    size and then in lex order of the added points.
 
-    The count is ``2 ** (|alpha| - len(alpha))``.
+    Lowering ``n`` cuts this list to a prefix; with ``n >= |alpha|`` it holds
+    all ``2 ** (|alpha| - len(alpha))`` refinements.
     """
     alpha = check_composition(alpha)
     d = sum(alpha)
     base = descent_set(alpha)
     free = sorted(set(range(1, d)) - base)
     out = []
-    for r in range(len(free) + 1):
+    for r in range(min(len(free), n - len(alpha)) + 1):
         for extra in combinations(free, r):
             out.append(composition_from_subset(base | set(extra), d))
     return out
 
 
 def compositions_of(d: int) -> list[Composition]:
-    """All compositions of ``d``, in ascending lex order on the parts."""
+    """All compositions of ``d`` (the refinements of ``(d,)``), in ascending
+    lex order on the parts."""
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    if d == 0:
-        return [()]
-    subs = []
-    for r in range(d):
-        subs.extend(combinations(range(1, d), r))
-    return sorted(composition_from_subset(s, d) for s in subs)
+    return sorted(refinements((d,) if d else (), d))
 
 
 # ---------------------------------------------------------------------------
@@ -247,35 +246,6 @@ def vector_to_dyck_word(eta) -> str:
     return "".join(parts)
 
 
-def is_dyck_word(word: str) -> bool:
-    if 2 * word.count("U") != len(word) or set(word) - {"U", "D"}:
-        return False
-    height = 0
-    for step in word:
-        height += 1 if step == "U" else -1
-        if height < 0:
-            return False
-    return height == 0
-
-
-def dyck_words(n: int):
-    """All Dyck words with n ups and n downs, by backtracking."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _check_cap(n, ENUMERATION_CAP, "Dyck word enumeration")
-
-    def extend(word, ups, height):
-        if len(word) == 2 * n:
-            yield word
-            return
-        if ups < n:
-            yield from extend(word + "U", ups + 1, height + 1)
-        if height > 0:
-            yield from extend(word + "D", ups, height - 1)
-
-    yield from extend("", 0, 0)
-
-
 def trailing_falls(word: str) -> int:
     return len(word) - len(word.rstrip("D"))
 
@@ -292,14 +262,15 @@ def factor_count(word: str) -> int:
 
 def path_statistics(n: int) -> dict[int, tuple[int, int]]:
     """For each k in [1, n], the pair (paths ending with exactly k falls,
-    paths with exactly k factors) over all Dyck words of length 2n.  Both
-    counts equal ``dn_k(n, k)``.
+    paths with exactly k factors) over all Dyck words of length 2n, read off
+    the Dyck vectors of ``enumerate_dyck(n)`` through ``vector_to_dyck_word``.
+    Both counts equal ``dn_k(n, k)``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     by_falls = {k: 0 for k in range(1, n + 1)}
     by_factors = {k: 0 for k in range(1, n + 1)}
-    for word in dyck_words(n):
+    for word in map(vector_to_dyck_word, enumerate_dyck(n)):
         by_falls[trailing_falls(word)] += 1
         by_factors[factor_count(word)] += 1
     return {k: (by_falls[k], by_factors[k]) for k in range(1, n + 1)}

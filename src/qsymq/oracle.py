@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from . import combinat, quotient
-from .combinat import ResourceLimitError, ballot, compositions_of, is_dyck, vectors_of_degree
+from .combinat import ResourceLimitError, ballot, is_dyck, refinements, vectors_of_degree
 from .poly import Polynomial, graded_lex_key, random_polynomial
 from .qsym import monomial_qsym
 
@@ -94,10 +94,6 @@ class IntegerRowSpace:
         return not self.reduce(row)
 
 
-def fraction_free_rank(rows, ncols: int) -> int:
-    return IntegerRowSpace(ncols).add_until_full(rows).rank
-
-
 # ---------------------------------------------------------------------------
 # the degree-d slice of the ideal
 
@@ -120,10 +116,8 @@ def slice_generators(n: int, d: int):
     slice, sorted by (|alpha|, alpha, mu)."""
     out = []
     for a in range(1, d + 1):
-        for alpha in compositions_of(a):
-            if len(alpha) > n:
-                continue
-            for mu in sorted(vectors_of_degree(n, d - a)):
+        for alpha in sorted(refinements((a,), n)):
+            for mu in vectors_of_degree(n, d - a):
                 out.append((mu, alpha))
     return out
 

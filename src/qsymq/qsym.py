@@ -1,9 +1,11 @@
 """Monomial and fundamental quasi-symmetric polynomials in n variables.
 
 ``monomial_qsym`` spreads the parts of a composition over all increasing
-position choices; ``fundamental_qsym`` sums them over the refinements with
-at most ``n`` parts, the only nonzero ones.  Products of fundamentals are
-computed combinatorially through shuffles of descent words, with direct
+position choices; ``fundamental_qsym`` sums M_beta over
+``combinat.refinements(alpha, n)``, the refinements with at most ``n`` parts
+and so the only nonzero ones.  Both count their terms against
+``combinat.SIZE_CAP`` before building anything.  Products of fundamentals
+are computed combinatorially through shuffles of descent words, with direct
 polynomial multiplication kept as the testing oracle.
 """
 
@@ -16,7 +18,7 @@ from .combinat import (
     check_composition,
     check_size,
     composition_from_subset,
-    descent_set,
+    refinements,
     shuffles,
     word_descent_set,
 )
@@ -27,11 +29,14 @@ def monomial_qsym(alpha, n: int) -> Polynomial:
     """M_alpha in n variables: the sum of X^nu over all nu with c(nu) = alpha.
 
     M of the empty composition is 1; the result is zero when alpha has more
-    parts than there are variables.
+    parts than there are variables.  Its C(n, len(alpha)) terms are counted
+    first, and ``ResourceLimitError`` is raised when they exceed
+    ``combinat.SIZE_CAP``.
     """
     alpha = check_composition(alpha)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    check_size(comb(n, len(alpha)), "terms in M_{} in {} variables", alpha, n)
     terms, one = {}, Fraction(1)
     for positions in combinations(range(n), len(alpha)):
         exps = [0] * n
@@ -66,13 +71,9 @@ def fundamental_qsym(alpha, n: int) -> Polynomial:
         raise ValueError(f"need n >= 1, got {n}")
     check_fundamental_size(alpha, n)
     # refinements with more than n parts vanish; the rest have disjoint supports
-    d, base = sum(alpha), descent_set(alpha)
-    free = sorted(set(range(1, d)) - base)
     terms = {}
-    for r in range(min(len(free), n - len(alpha)) + 1):
-        for extra in combinations(free, r):
-            beta = composition_from_subset(base | set(extra), d)
-            terms.update(monomial_qsym(beta, n).items())
+    for beta in refinements(alpha, n):
+        terms.update(monomial_qsym(beta, n).items())
     return Polynomial._trusted(n, terms)
 
 

@@ -1,0 +1,34 @@
+"""The bench tracer (``perfbench/tracing.py``) wraps qsymq functions named by
+(module, attribute) in its ``SPANS`` and ``COUNTERS`` lists.  Each name must
+still resolve in ``src/qsymq``, or ``perfbench/run.py --trace 1`` breaks."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+HOOKS = [(module, attribute) for module, attribute, *_ in tracing.SPANS + tracing.COUNTERS]
+
+
+@pytest.mark.parametrize("module_name, attribute", HOOKS,
+                         ids=[f"{m}:{a}" for m, a in HOOKS])
+def test_hook_resolves(module_name, attribute):
+    module = importlib.import_module(module_name)
+    assert Path(module.__file__).resolve().is_relative_to(ROOT / "src" / "qsymq")
+    # a dotted name is a method, wrapped on its class
+    owner_name, _, name = attribute.rpartition(".")
+    owner = getattr(module, owner_name) if owner_name else module
+    assert callable(vars(owner).get(name)), f"{module_name}.{attribute} is gone"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import polynomials
-from qsymq import cli, oracle, quotient
+from qsymq import cli, combinat, oracle, quotient
 from qsymq.cli import (
     ParseError,
     main,
@@ -225,6 +225,16 @@ class TestSubcommands:
         product = polynomial_from_record(record)
         assert product == parse_polynomial("x1^2 + 2*x1*x2 + x2^2", 2)
 
+    def test_qsym_mul_counts_term_products(self, capsys, monkeypatch):
+        # |F_21| = 10 and |F_1| = 4 in four variables: 40 term products
+        argv = ("qsym-mul", "-n", "4", "--left", "2,1", "--right", "1")
+        monkeypatch.setattr(combinat, "SIZE_CAP", 40)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(combinat, "SIZE_CAP", 39)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("resource limit:")
+
     def test_verify_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "-n", "3")
         assert code == 0
@@ -417,6 +427,9 @@ class TestPolynomialCost:
         ("reduce", "-n", "1100", "--expr", "x1100^1100", "--certificate"),
         # tiny output, but the G chain copies ~C(447, 2) terms 445 times
         ("reduce", "-n", "447", "--expr", "x1*x447"),
+        # C(600, 2) terms of M_11, and C(600, 1) ** 2 term products of F_1 * F_1
+        ("qsym", "-n", "600", "--monomial", "1,1", "--json"),
+        ("qsym-mul", "-n", "600", "--left", "1", "--right", "1", "--json"),
     ])
     def test_oversized_expansion_refused(self, argv):
         proc = self.run(*argv)

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -17,11 +17,9 @@ from qsymq.combinat import (
     compositions_of,
     descent_set,
     dn_k,
-    dyck_words,
     enumerate_dyck,
     factor_count,
     is_dyck,
-    is_dyck_word,
     path_statistics,
     refinements,
     shuffles,
@@ -65,22 +63,46 @@ class TestSubsetBijection:
 
 class TestRefinement:
     def test_examples(self):
-        assert (1, 1, 1) in refinements((2, 1))
-        assert (2, 1) in refinements((2, 1))
-        assert (2, 1) not in refinements((1, 2))
+        assert (1, 1, 1) in refinements((2, 1), 3)
+        assert (2, 1) in refinements((2, 1), 3)
+        assert (2, 1) not in refinements((1, 2), 3)
 
     def test_refinements_examples(self):
-        assert set(refinements((2, 1))) == {(2, 1), (1, 1, 1)}
-        assert refinements((1, 1)) == [(1, 1)]
-        assert set(refinements((3,))) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
+        assert set(refinements((2, 1), 3)) == {(2, 1), (1, 1, 1)}
+        assert refinements((1, 1), 2) == [(1, 1)]
+        assert set(refinements((3,), 3)) == {(3,), (2, 1), (1, 2), (1, 1, 1)}
+        assert refinements((3,), 2) == [(3,), (1, 2), (2, 1)]
+        assert refinements((2, 1), 1) == []
 
     @given(compositions(max_size=7))
     def test_count_and_membership(self, alpha):
-        refs = refinements(alpha)
+        refs = refinements(alpha, sum(alpha))
         assert len(refs) == 2 ** (sum(alpha) - len(alpha))
         assert len(set(refs)) == len(refs)
         assert all(sum(beta) == sum(alpha) and descent_set(alpha) <= descent_set(beta)
                    for beta in refs)
+
+    def test_part_bound_keeps_a_prefix(self):
+        for d in range(1, 8):
+            for alpha in recursive_compositions(d):
+                full = refinements(alpha, d)
+                for n in range(1, d + 1):
+                    bounded = refinements(alpha, n)
+                    assert bounded == full[:len(bounded)], (alpha, n)
+                    assert bounded == [beta for beta in full if len(beta) <= n], (alpha, n)
+
+    def test_compositions_of_matches_recursion(self):
+        for d in range(11):
+            assert compositions_of(d) == recursive_compositions(d)
+
+
+def recursive_compositions(d):
+    """Compositions of d in ascending lex order: a first part, then any
+    composition of the rest."""
+    if d == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, d + 1)
+            for rest in recursive_compositions(d - first)]
 
 
 class TestClassification:
@@ -163,9 +185,9 @@ class TestDyckWords:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bijection_with_words(self, n):
-        words = {vector_to_dyck_word(eta) for eta in enumerate_dyck(n)}
-        assert all(is_dyck_word(w) for w in words)
-        assert words == set(dyck_words(n))
+        words = [vector_to_dyck_word(eta) for eta in enumerate_dyck(n)]
+        assert len(set(words)) == len(words)
+        assert set(words) == brute_force_dyck_words(n)
         for eta in enumerate_dyck(n):
             assert trailing_falls(vector_to_dyck_word(eta)) == n - sum(eta)
 
@@ -184,6 +206,19 @@ class TestDyckWords:
     def test_factor_count(self):
         assert factor_count("UUDDUD") == 2
         assert factor_count("UDUDUD") == 3
+
+
+def brute_force_dyck_words(n):
+    """Every U/D word of length 2n whose height never drops below 0 and
+    ends at 0."""
+    out = set()
+    for steps in product("UD", repeat=2 * n):
+        heights = [0]
+        for step in steps:
+            heights.append(heights[-1] + (1 if step == "U" else -1))
+        if min(heights) == 0 and heights[-1] == 0:
+            out.add("".join(steps))
+    return out
 
 
 class TestDescentWords:

@@ -72,7 +72,7 @@ class TestFundamentalBasis:
             for d in range(8):
                 for alpha in compositions_of(d):
                     full = Polynomial.zero(n)
-                    for beta in refinements(alpha):
+                    for beta in refinements(alpha, sum(alpha)):
                         full = full + monomial_qsym(beta, n)
                     assert fundamental_qsym(alpha, n) == full, (alpha, n)
 
@@ -82,7 +82,7 @@ class TestFundamentalBasis:
         for d in range(7):
             for alpha in compositions_of(d):
                 total = Polynomial.zero(n)
-                for beta in refinements(alpha):
+                for beta in refinements(alpha, sum(alpha)):
                     sign = (-1) ** (len(beta) - len(alpha))
                     total = total + sign * fundamental_qsym(beta, n)
                 assert total == monomial_qsym(alpha, n)
@@ -136,6 +136,19 @@ class TestSizeCap:
                             patch.setattr(combinat, "SIZE_CAP", size - 1)
                             with pytest.raises(ResourceLimitError):
                                 fundamental_qsym(alpha, n)
+
+    def test_monomial_cap_counts_terms_exactly(self, monkeypatch):
+        for n in range(1, 6):
+            for d in range(7):
+                for alpha in compositions_of(d):
+                    size = comb(n, len(alpha))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(combinat, "SIZE_CAP", size)
+                        assert len(monomial_qsym(alpha, n)) == size
+                        if size:
+                            patch.setattr(combinat, "SIZE_CAP", size - 1)
+                            with pytest.raises(ResourceLimitError):
+                                monomial_qsym(alpha, n)
 
     def test_shuffle_cap(self, monkeypatch):
         monkeypatch.setattr(combinat, "SIZE_CAP", comb(5, 2))
