@@ -28,9 +28,11 @@ class IntegerRowSpace:
     """Incremental row space over Z with fraction-free reduction.
 
     Rows are sparse dicts ``{column: int}``.  ``pivots`` maps each pivot
-    column to its primitive row (content stripped), which is positive at that
-    column and zero to the left of it, so ranks and reduced rows are
-    deterministic.
+    column to its primitive row, which is positive at that column and zero to
+    the left of it, so ranks and reduced rows are deterministic.  ``add``
+    strips the content and fixes the sign, once per stored row; ``reduce``
+    strips it only after a step that scaled the row by a pivot lead other
+    than 1, which is enough to bound coefficient growth.
     """
 
     def __init__(self, ncols: int):
@@ -66,9 +68,10 @@ class IntegerRowSpace:
                 y -= x * b
                 if y:
                     row[col] = y
-            g = gcd(*row.values())
-            if g > 1:
-                row = {col: y // g for col, y in row.items()}
+            if lead != 1:  # bound the growth the scaling brought in
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {col: y // g for col, y in row.items()}
         return row
 
     def add(self, row) -> bool:
@@ -77,9 +80,10 @@ class IntegerRowSpace:
         if not row:
             return False
         col = min(row)
+        g = gcd(*row.values())
         if row[col] < 0:
-            row = {c: -x for c, x in row.items()}
-        self.pivots[col] = row
+            g = -g
+        self.pivots[col] = {c: x // g for c, x in row.items()}
         return True
 
     def add_until_full(self, rows) -> "IntegerRowSpace":
@@ -123,9 +127,11 @@ def slice_generators(n: int, d: int):
 
 
 def _generator_rows(n: int, d: int, index):
+    terms = {}  # alpha -> the integer terms of M_alpha, built once per slice
     for mu, alpha in slice_generators(n, d):
-        yield {index[tuple(a + b for a, b in zip(mu, exps))]: int(coeff)
-               for exps, coeff in monomial_qsym(alpha, n).items()}
+        if alpha not in terms:
+            terms[alpha] = [(exps, int(c)) for exps, c in monomial_qsym(alpha, n).items()]
+        yield {index[tuple(a + b for a, b in zip(mu, exps))]: c for exps, c in terms[alpha]}
 
 
 _slice_cache: dict[tuple, tuple[IntegerRowSpace, dict]] = {}

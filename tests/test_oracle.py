@@ -1,4 +1,6 @@
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from qsymq.combinat import (
 )
 from qsymq.oracle import (
     IntegerRowSpace,
+    _generator_rows,
     _slice,
     degree_columns,
     generating_function_check,
@@ -23,6 +26,7 @@ from qsymq.oracle import (
     quotient_dims,
     rank_report,
     row_space_member,
+    slice_generators,
 )
 from qsymq.poly import Polynomial, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
@@ -69,6 +73,57 @@ def rational_rank(rows, ncols: int) -> int:
     return rank
 
 
+class ReferenceRowSpace:
+    """The earlier elimination kernel, kept as a reference: it strips the
+    content of the working row after every step, and stores a row that met
+    no pivot with its content."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = {col: x for col, x in row.items() if x}
+        pivots = self.pivots
+        todo = [col for col in row if col in pivots]
+        heapify(todo)
+        while todo:
+            pcol = heappop(todo)
+            x = row.get(pcol)
+            if x is None:
+                continue
+            prow = pivots[pcol]
+            lead = prow[pcol]
+            if lead != 1:
+                for col in row:
+                    row[col] *= lead
+            for col, b in prow.items():
+                y = row.pop(col, 0)
+                if not y and col in pivots:
+                    heappush(todo, col)
+                y -= x * b
+                if y:
+                    row[col] = y
+            g = gcd(*row.values())
+            if g > 1:
+                row = {col: y // g for col, y in row.items()}
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        if row:
+            col = min(row)
+            if row[col] < 0:
+                row = {c: -x for c, x in row.items()}
+            self.pivots[col] = row
+
+
+def generator_row(n, index, mu, alpha):
+    """The row of X^mu * M_alpha, by polynomial multiplication."""
+    product = Polynomial.monomial(n, mu) * monomial_qsym(alpha, n)
+    return {index[exps]: int(coeff) for exps, coeff in product.items()}
+
+
 @st.composite
 def matrices(draw):
     """(ncols, rows): up to 10 integer rows of a common width up to 8."""
@@ -99,6 +154,35 @@ class TestRank:
         assert space.contains(dict(enumerate(probe))) == inside
         for col, prow in space.pivots.items():
             assert min(prow) == col and prow[col] > 0 and 0 not in prow.values()
+            assert gcd(*prow.values()) == 1
+
+    @given(matrices(), st.lists(st.integers(-4, 4), min_size=8, max_size=8))
+    def test_matches_reference_kernel(self, matrix, probe):
+        ncols, rows = matrix
+        space, reference = IntegerRowSpace(ncols), ReferenceRowSpace(ncols)
+        for row in rows:
+            space.add(dict(enumerate(row)))
+            reference.add(dict(enumerate(row)))
+        assert space.rank == len(reference.pivots)
+        probe = dict(enumerate(probe[:ncols]))
+        assert space.contains(probe) == (not reference.reduce(probe))
+        # the pivots differ only by the content the reference leaves in
+        assert space.pivots == {
+            col: {c: x // gcd(*prow.values()) for c, x in prow.items()}
+            for col, prow in reference.pivots.items()}
+
+    def test_pivot_rows_are_primitive(self):
+        space = IntegerRowSpace(3)
+        space.add({0: 2, 1: 4})
+        assert space.pivots == {0: {0: 1, 1: 2}}
+        space = IntegerRowSpace(3)
+        space.add({0: -3, 2: 6})
+        assert space.pivots == {0: {0: 1, 2: -2}}
+        # a step with lead 1 that leaves content
+        space = IntegerRowSpace(3)
+        space.add({0: 1, 1: 1})
+        space.add({0: 1, 1: 3, 2: 2})
+        assert space.pivots == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
 
     def test_contains(self):
         space = IntegerRowSpace(3)
@@ -149,6 +233,25 @@ class TestDegreeSlices:
                             space.add({index[tuple(x + y for x, y in zip(mu, exps))]:
                                        int(coeff) for exps, coeff in f.items()})
                 assert space.rank == ideal_degree_rank(n, d), (n, d)
+
+    def test_generator_rows_match_products(self):
+        for n in range(1, 6):
+            for d in range(n + 1):
+                index = {e: i for i, e in enumerate(degree_columns(n, d))}
+                expected = [generator_row(n, index, mu, alpha)
+                            for mu, alpha in slice_generators(n, d)]
+                assert list(_generator_rows(n, d, index)) == expected, (n, d)
+
+    @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)] + [(7, 6)])
+    def test_pivots_match_reference_kernel(self, n, dmax):
+        for d in range(dmax + 1):
+            space, index = _slice(n, d)
+            reference = ReferenceRowSpace(len(index))
+            for mu, alpha in slice_generators(n, d):
+                if len(reference.pivots) == len(index):
+                    break
+                reference.add(generator_row(n, index, mu, alpha))
+            assert space.pivots == reference.pivots, (n, d)
 
     def test_rank_report_mentions_dimension(self):
         text = rank_report(3, 2)
