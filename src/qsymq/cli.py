@@ -7,9 +7,11 @@ Polynomial grammar (whitespace insignificant)::
     factor := 'x' index ('^' exponent)?
     coeff  := integer ('/' positive-integer)?
 
-Variables are 1-based ``x1..xn``.  Vectors and compositions on the command
-line are comma-separated without brackets; vector trailing zeros may be
-omitted and are padded to ``n``.
+It has no nesting, so one pass over the tokens reads it.  An integer literal
+longer than Python's int-string limit is a parse error.  Variables are
+1-based ``x1..xn``.  Vectors and compositions on the command line are
+comma-separated without brackets; vector trailing zeros may be omitted and
+are padded to ``n``.
 
 JSON output schema: ``{"n": int, "operation": str,
 "terms": [{"coeff": "p/q", "exps": [..]}],
@@ -29,9 +31,9 @@ import sys
 from fractions import Fraction
 
 from . import oracle, quotient
-from .combinat import ResourceLimitError, check_size, check_vector, enumerate_dyck
+from .combinat import ResourceLimitError, check_vector, enumerate_dyck
 from .poly import Polynomial
-from .qsym import check_fundamental_size, f_product, fundamental_qsym, monomial_qsym
+from .qsym import f_product, fundamental_qsym, monomial_qsym
 
 
 class ParseError(ValueError):
@@ -45,116 +47,86 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>x(?P<index>\d+))|(?P<number>\d+)|(?P<op>[+\-*/^]))")
+_TOKEN = re.compile(r"x(?P<var>\d+)|(?P<number>\d+)|(?P<op>[+\-*/^])|(?P<bad>\S)")
 
 
 def _tokenize(text):
+    """``(kind, value, position)`` triples, then ``("end", None, len(text))``;
+    whitespace matches no group of ``_TOKEN`` and is skipped."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[where]!r}", where)
-        if match.group("var"):
-            tokens.append(("var", int(match.group("index")), match.start("var")))
-        elif match.group("number"):
-            tokens.append(("number", int(match.group("number")), match.start("number")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", match.start())
+        if kind != "op":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError("integer literal too long", match.start(kind)) from None
+        tokens.append((kind, value, match.start()))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
-    """Parse an expression in the grammar above into an exact polynomial."""
+    """Parse an expression in the grammar above into an exact polynomial.
+
+    Each pass reads one item: a sign before the first term, a coefficient,
+    a '*', a factor, or the sign or end of input that closes a term.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     tokens = _tokenize(text)
-    at = 0
-
-    def peek():
-        return tokens[at]
-
-    def take():
-        nonlocal at
-        token = tokens[at]
-        at += 1
-        return token
-
-    def parse_factor(exps):
-        kind, value, pos = take()
-        assert kind == "var"
-        if not 1 <= value <= n:
-            raise ParseError(f"variable index {value} outside [1, {n}]", pos)
-        exponent = 1
-        if peek()[0] == "op" and peek()[1] == "^":
-            take()
-            kind, value2, pos2 = take()
-            if kind != "number":
-                raise ParseError("expected an exponent after '^'", pos2)
-            exponent = value2
-        exps[value - 1] += exponent
-
-    def parse_term():
-        coeff = Fraction(1)
-        exps = [0] * n
-        seen = False
-        kind, value, pos = peek()
-        if kind == "number":
-            take()
-            coeff = Fraction(value)
-            seen = True
-            if peek()[0] == "op" and peek()[1] == "/":
-                take()
-                kind2, value2, pos2 = take()
-                if kind2 != "number":
-                    raise ParseError("expected a denominator after '/'", pos2)
-                if value2 == 0:
-                    raise ParseError("zero denominator", pos2)
-                coeff /= value2
-        while True:
-            kind, value, pos = peek()
-            if kind == "op" and value == "*":
-                if not seen:
-                    raise ParseError("'*' needs a left operand", pos)
-                take()
-                kind, value, pos = peek()
-                if kind != "var":
-                    raise ParseError("expected a variable after '*'", pos)
-                parse_factor(exps)
-                seen = True
-            elif kind == "var":
-                parse_factor(exps)
-                seen = True
-            else:
-                break
-        if not seen:
-            raise ParseError("expected a term", peek()[2])
-        return coeff, tuple(exps)
-
     terms = {}
-    sign = 1
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
+    coeff = Fraction(1)
+    exps = [0] * n
+    seen = False
+    at = 0
     while True:
-        coeff, exps = parse_term()
-        terms[exps] = terms.get(exps, 0) + sign * coeff
-        kind, value, pos = peek()
-        if kind == "end":
-            break
-        if kind == "op" and value in "+-":
-            take()
-            sign = -1 if value == "-" else 1
+        kind, value, pos = tokens[at]
+        at += 1
+        if kind == "op" and value in "+-" and at == 1:
+            coeff = Fraction(-1 if value == "-" else 1)
+        elif kind == "number" and not seen:
+            coeff *= value
+            seen = True
+            if tokens[at][:2] == ("op", "/"):
+                kind, value, pos = tokens[at + 1]
+                if kind != "number":
+                    raise ParseError("expected a denominator after '/'", pos)
+                if value == 0:
+                    raise ParseError("zero denominator", pos)
+                coeff /= value
+                at += 2
+        elif kind == "op" and value == "*":
+            if not seen:
+                raise ParseError("'*' needs a left operand", pos)
+            if tokens[at][0] != "var":
+                raise ParseError("expected a variable after '*'", tokens[at][2])
+        elif kind == "var":
+            if not 1 <= value <= n:
+                raise ParseError(f"variable index {value} outside [1, {n}]", pos)
+            exponent = 1
+            if tokens[at][:2] == ("op", "^"):
+                kind, exponent, pos = tokens[at + 1]
+                if kind != "number":
+                    raise ParseError("expected an exponent after '^'", pos)
+                at += 2
+            exps[value - 1] += exponent
+            seen = True
+        elif not seen:
+            raise ParseError("expected a term", pos)
         else:
-            raise ParseError("expected '+', '-' or end of input", pos)
-    return Polynomial(n, terms)
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0) + coeff
+            if kind == "end":
+                return Polynomial(n, terms)
+            if kind != "op" or value not in "+-":
+                raise ParseError("expected '+', '-' or end of input", pos)
+            coeff = Fraction(-1 if value == "-" else 1)
+            exps = [0] * n
+            seen = False
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +327,6 @@ def cmd_qsym_mul(args) -> int:
     alpha = _composition_arg(args.left)
     beta = _composition_arg(args.right)
     expansion = f_product(alpha, beta)
-    check_size(check_fundamental_size(alpha, args.n) * check_fundamental_size(beta, args.n),
-               "term products in F_{} * F_{} in {} variables", alpha, beta, args.n)
     product = fundamental_qsym(alpha, args.n) * fundamental_qsym(beta, args.n)
     record = _polynomial_record(
         "qsym-mul", product,

@@ -9,14 +9,15 @@ tuples lexicographically.
 There are two ways in.  ``Polynomial(n, terms)`` validates and normalizes
 input from outside: users, the parser, JSON records and tests.
 ``Polynomial._trusted(n, terms)`` wraps, unchecked, terms the library built
-itself: length-n tuples of ints mapped to nonzero ``Fraction``s.
+itself: length-n tuples of ints mapped to nonzero ``Fraction``s.  A product
+counts its term products against ``combinat.SIZE_CAP`` before making any.
 """
 
 import math
 from fractions import Fraction
 from numbers import Rational
 
-from .combinat import check_vector
+from .combinat import check_size, check_vector
 
 
 def graded_lex_key(nu):
@@ -168,6 +169,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
+        check_size(len(self) * len(other), "term products of {}-term by {}-term polynomials",
+                   len(self), len(other))
         terms = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():

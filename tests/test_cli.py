@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import polynomials
 from qsymq import cli, combinat, oracle, quotient
@@ -19,6 +21,139 @@ from qsymq.cli import (
 )
 from qsymq.poly import Polynomial
 from qsymq.quotient import ReductionResult, g_element, normal_form, shared_basis
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<var>x(?P<index>\d+))|(?P<number>\d+)|(?P<op>[+\-*/^]))")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN.match(text, pos)
+        if match is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            where = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[where]!r}", where)
+        if match.group("var"):
+            tokens.append(("var", int(match.group("index")), match.start("var")))
+        elif match.group("number"):
+            tokens.append(("number", int(match.group("number")), match.start("number")))
+        else:
+            tokens.append(("op", match.group("op"), match.start("op")))
+        pos = match.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def reference_parse(text, n):
+    """The earlier recursive-descent parser, kept as a reference for
+    ``parse_polynomial``: same grammar, messages and positions."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    tokens = _reference_tokenize(text)
+    at = 0
+
+    def peek():
+        return tokens[at]
+
+    def take():
+        nonlocal at
+        token = tokens[at]
+        at += 1
+        return token
+
+    def parse_factor(exps):
+        kind, value, pos = take()
+        assert kind == "var"
+        if not 1 <= value <= n:
+            raise ParseError(f"variable index {value} outside [1, {n}]", pos)
+        exponent = 1
+        if peek()[0] == "op" and peek()[1] == "^":
+            take()
+            kind, value2, pos2 = take()
+            if kind != "number":
+                raise ParseError("expected an exponent after '^'", pos2)
+            exponent = value2
+        exps[value - 1] += exponent
+
+    def parse_term():
+        coeff = Fraction(1)
+        exps = [0] * n
+        seen = False
+        kind, value, pos = peek()
+        if kind == "number":
+            take()
+            coeff = Fraction(value)
+            seen = True
+            if peek()[0] == "op" and peek()[1] == "/":
+                take()
+                kind2, value2, pos2 = take()
+                if kind2 != "number":
+                    raise ParseError("expected a denominator after '/'", pos2)
+                if value2 == 0:
+                    raise ParseError("zero denominator", pos2)
+                coeff /= value2
+        while True:
+            kind, value, pos = peek()
+            if kind == "op" and value == "*":
+                if not seen:
+                    raise ParseError("'*' needs a left operand", pos)
+                take()
+                kind, value, pos = peek()
+                if kind != "var":
+                    raise ParseError("expected a variable after '*'", pos)
+                parse_factor(exps)
+                seen = True
+            elif kind == "var":
+                parse_factor(exps)
+                seen = True
+            else:
+                break
+        if not seen:
+            raise ParseError("expected a term", peek()[2])
+        return coeff, tuple(exps)
+
+    terms = {}
+    sign = 1
+    kind, value, pos = peek()
+    if kind == "op" and value in "+-":
+        take()
+        sign = -1 if value == "-" else 1
+    while True:
+        coeff, exps = parse_term()
+        terms[exps] = terms.get(exps, 0) + sign * coeff
+        kind, value, pos = peek()
+        if kind == "end":
+            break
+        if kind == "op" and value in "+-":
+            take()
+            sign = -1 if value == "-" else 1
+        else:
+            raise ParseError("expected '+', '-' or end of input", pos)
+    return Polynomial(n, terms)
+
+
+def parse_outcome(parser, text, n):
+    """The polynomial, or the message and position of the ``ParseError``."""
+    try:
+        return parser(text, n)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# short pieces whose concatenations form every token kind, malformed ones,
+# out-of-range indices and a non-ASCII digit
+_PIECES = ["x1", "x2", "x3", "x4", "x0", "x", "0", "1", "2", "13",
+           "+", "-", "*", "/", "^", "&", "x12", "\u0663", " "]
+
+# (text, error position) for n = 3
+SYNTAX_ERRORS = [
+    ("", 0), ("x1 +", 4), ("* x1", 0), ("x1 ^", 4), ("x1^x2", 3), ("1/", 2),
+    ("1/0", 2), ("x", 0), ("3 & x1", 2), ("x1 x", 3), ("2^3", 1), ("x1 2", 3),
+]
 
 
 class TestParser:
@@ -41,12 +176,11 @@ class TestParser:
     def test_exponent_zero(self):
         assert parse_polynomial("x1^0", 2) == Polynomial.constant(2, 1)
 
-    @pytest.mark.parametrize("bad", [
-        "", "x1 +", "* x1", "x1 ^", "x1^x2", "1/", "1/0", "x", "3 & x1", "x1 x",
-    ])
-    def test_syntax_errors(self, bad):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("bad,position", SYNTAX_ERRORS, ids=[t for t, _ in SYNTAX_ERRORS])
+    def test_syntax_errors(self, bad, position):
+        with pytest.raises(ParseError) as err:
             parse_polynomial(bad, 3)
+        assert err.value.position == position
 
     def test_variable_out_of_range(self):
         with pytest.raises(ParseError) as err:
@@ -59,6 +193,11 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_polynomial("x1 + @", 2)
         assert err.value.position == 5
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join), st.integers(1, 4))
+    def test_matches_reference_parser(self, text, n):
+        assert parse_outcome(parse_polynomial, text, n) == parse_outcome(reference_parse, text, n)
 
 
 class TestRenderer:
@@ -347,6 +486,27 @@ class TestExitCodes:
         monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
         code, out, _ = run_cli(capsys, "hilbert", "-n", "7", "--method", "oracle")
         assert code == 0 and out == "1 6 20 48 90 132 132\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-string limit")
+    @pytest.mark.parametrize("limit", [640, 10_000])
+    @pytest.mark.parametrize("template,position", [
+        ("x1 + {}", 5),  # coefficient
+        ("x1^{}", 3),    # exponent
+        ("x{}", 1),      # variable index
+    ])
+    def test_literal_over_int_string_limit(self, capsys, limit, template, position):
+        # the limit is read at run time, as PYTHONINTMAXSTRDIGITS sets it
+        expr = template.format("9" * (limit + 1))
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run_cli(capsys, "reduce", "-n", "2", "--expr", expr)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
+        assert err.endswith(f"(at position {position})\n")
 
     def test_reduce_missing_file(self, capsys):
         code = main(["reduce", "-n", "2", "--file", "/no/such/file"])

@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import compositions, polynomials, vectors
+from qsymq import combinat
+from qsymq.combinat import ResourceLimitError
 from qsymq.poly import Polynomial, diff_pairing, graded_lex_key
 from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import GBasis, enumerate_transdiagonal
@@ -49,6 +51,16 @@ class TestArithmetic:
             Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
         with pytest.raises(ValueError):
             Polynomial.variable(2, 1) * Polynomial.variable(3, 1)
+
+    def test_product_counts_term_products(self, monkeypatch):
+        p = Polynomial.variable(2, 1) + Polynomial.variable(2, 2) + Polynomial.constant(2, 1)
+        q = Polynomial.variable(2, 1) - Polynomial.constant(2, 1)
+        monkeypatch.setattr(combinat, "SIZE_CAP", 6)
+        assert len(p * q) == 4  # x1^2 + x1*x2 - x2 - 1
+        monkeypatch.setattr(combinat, "SIZE_CAP", 5)
+        with pytest.raises(ResourceLimitError):
+            p * q
+        assert len(p * 2) == 3
 
     @given(polynomials(n=3), polynomials(n=3))
     def test_exact_round_trip(self, p, q):
