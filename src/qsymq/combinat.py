@@ -19,7 +19,7 @@ ExponentVector = tuple[int, ...]
 # refuse silently huge jobs instead of hanging.
 COUNTING_CAP = 20
 ENUMERATION_CAP = 12
-ORACLE_CAP = 7
+ORACLE_CAP = 8
 # Terms of one F_alpha, or shuffle words of one F product, built per request.
 SIZE_CAP = 100_000
 

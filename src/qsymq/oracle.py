@@ -1,11 +1,15 @@
 """Independent linear-algebra verification of the quotient's graded dimensions.
 
-The degree-d slice of the ideal is spanned by monomial multiples of the
-monomial quasi-symmetric generators; its rank over Q, computed by
-fraction-free integer elimination on sparse rows ``{column: nonzero int}``,
-gives the quotient dimension as (#monomials of degree d) - rank.  A
-generator row X^mu * M_alpha has only C(n, len(alpha)) nonzeros, so rows
-stay sparse throughout.  Cross-checks: the ballot-number formula, direct
+The degree-d slice of the ideal is spanned by the rows X^mu * M_L with L a
+Lyndon composition and |L| <= d.  Over Q, QSym is a free polynomial algebra
+on these M_L (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11,
+2000; freeness is due to Malvenuto-Reutenauer, 1995); restriction to n
+variables is a surjective algebra map, and an ideal generated by the
+positive part of an algebra is generated by its algebra generators.  No G
+element is used.  The slice's rank over Q, computed by fraction-free integer
+elimination on sparse rows ``{column: nonzero int}``, gives the quotient
+dimension as (#monomials of degree d) - rank; a row X^mu * M_L has only
+C(n, len(L)) nonzeros.  Cross-checks: the ballot-number formula, direct
 Dyck-vector enumeration, and the closed-form generating function.
 """
 
@@ -108,6 +112,10 @@ def _check_oracle_caps(n: int, d: int) -> None:
     combinat._check_cap(n, combinat.ORACLE_CAP, "exact elimination")
     if not 0 <= d <= n + 1:
         raise ResourceLimitError(f"degree {d} outside [0, n + 1] for n = {n}")
+    most = comb(2 * combinat.ORACLE_CAP - 2, combinat.ORACLE_CAP - 1)  # columns at (cap, cap - 1)
+    if comb(n + d - 1, d) > most:
+        raise ResourceLimitError(f"exact elimination capped at {most} columns; "
+                                 f"got {comb(n + d - 1, d)} at n = {n}, d = {d}")
 
 
 def degree_columns(n: int, d: int) -> list[tuple]:
@@ -115,12 +123,18 @@ def degree_columns(n: int, d: int) -> list[tuple]:
     return sorted(vectors_of_degree(n, d), key=graded_lex_key, reverse=True)
 
 
+def is_lyndon(alpha) -> bool:
+    """True iff alpha is smaller than each proper suffix, in tuple order."""
+    return all(alpha < alpha[i:] for i in range(1, len(alpha)))
+
+
 def slice_generators(n: int, d: int):
-    """(mu, alpha) labels of the generators X^mu * M_alpha of the degree-d
-    slice, sorted by (|alpha|, alpha, mu)."""
+    """(mu, L) labels of the generators X^mu * M_L of the degree-d slice, L
+    Lyndon, sorted by (|L|, L, mu).  They span it, since the M_L generate
+    QSym_n as an algebra (Hoffman 2000; Malvenuto-Reutenauer 1995)."""
     out = []
     for a in range(1, d + 1):
-        for alpha in sorted(refinements((a,), n)):
+        for alpha in sorted(filter(is_lyndon, refinements((a,), n))):
             for mu in vectors_of_degree(n, d - a):
                 out.append((mu, alpha))
     return out

@@ -278,7 +278,8 @@ class TestSubcommands:
         assert record["report"] == [
             {"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1},
             {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2},
-            {"degree": 2, "columns": 6, "generator_rows": 5, "rank": 4, "dimension": 2},
+            # the rows x_i * M_1 and M_2; (1, 1) is not Lyndon, so M_11 is no row
+            {"degree": 2, "columns": 6, "generator_rows": 4, "rank": 4, "dimension": 2},
         ]
 
     def test_basis_listing(self, capsys):
@@ -465,7 +466,7 @@ class TestExitCodes:
         (["gbasis", "-n", "2"], 1),                         # missing --vector
         (["gbasis", "-n", "2", "--vector", "0,1,0"], 1),    # vector longer than n
         (["hilbert", "-n", "40"], 1),                       # resource cap
-        (["hilbert", "-n", "8", "--method", "oracle"], 1),  # oracle cap
+        (["hilbert", "-n", "9", "--method", "oracle"], 1),  # oracle cap
         (["reduce", "-n", "2", "--expr", "x1 +"], 2),       # syntax error
         (["reduce", "-n", "2", "--expr", "x5"], 2),         # variable out of range
         (["member", "-n", "2", "--expr", "x1"], 3),         # not in the ideal
@@ -484,8 +485,8 @@ class TestExitCodes:
 
     def test_oracle_at_cap(self, capsys, monkeypatch):
         monkeypatch.delenv("QSYMQ_MAX_N", raising=False)
-        code, out, _ = run_cli(capsys, "hilbert", "-n", "7", "--method", "oracle")
-        assert code == 0 and out == "1 6 20 48 90 132 132\n"
+        code, out, _ = run_cli(capsys, "hilbert", "-n", "8", "--method", "oracle")
+        assert code == 0 and out == "1 7 27 75 165 297 429 429\n"
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python has no int-string limit")
@@ -567,8 +568,8 @@ class TestPolynomialCost:
         assert proc.returncode == 0 and proc.stdout == "0\n"
 
     def test_oracle_cap_is_not_raised_by_environment(self, monkeypatch):
-        monkeypatch.setenv("QSYMQ_MAX_N", "8")
-        proc = self.run("hilbert", "-n", "8", "--method", "oracle")
+        monkeypatch.setenv("QSYMQ_MAX_N", "9")
+        proc = self.run("hilbert", "-n", "9", "--method", "oracle")
         assert proc.returncode == 1
         assert proc.stderr.startswith("resource limit:")
 

@@ -1,28 +1,32 @@
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsymq import combinat
+from qsymq import combinat, oracle
 from qsymq.combinat import (
     ResourceLimitError,
     ballot,
     catalan,
     compositions_of,
     is_dyck,
+    refinements,
     vectors_of_degree,
 )
 from qsymq.oracle import (
     IntegerRowSpace,
+    _check_oracle_caps,
     _generator_rows,
     _slice,
     degree_columns,
     generating_function_check,
     hilbert_series,
     ideal_degree_rank,
+    is_lyndon,
     quotient_dims,
     rank_report,
     row_space_member,
@@ -116,6 +120,39 @@ class ReferenceRowSpace:
             if row[col] < 0:
                 row = {c: -x for c, x in row.items()}
             self.pivots[col] = row
+
+
+def full_slice_generators(n: int, d: int):
+    """The generator set before the Lyndon filter, kept as the reference:
+    (mu, alpha) for every composition alpha with |alpha| <= d, sorted by
+    (|alpha|, alpha, mu)."""
+    out = []
+    for a in range(1, d + 1):
+        for alpha in sorted(refinements((a,), n)):
+            for mu in vectors_of_degree(n, d - a):
+                out.append((mu, alpha))
+    return out
+
+
+def full_generator_rows(n, d, index):
+    terms = {}
+    for mu, alpha in full_slice_generators(n, d):
+        if alpha not in terms:
+            terms[alpha] = monomial_qsym(alpha, n).items()
+        yield {index[tuple(a + b for a, b in zip(mu, exps))]: int(c) for exps, c in terms[alpha]}
+
+
+def mobius(k: int) -> int:
+    """The Moebius function, by trial division."""
+    result, p = 1, 2
+    while k > 1:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return result
 
 
 def generator_row(n, index, mu, alpha):
@@ -213,7 +250,7 @@ class TestDegreeSlices:
 
     def test_caps(self):
         with pytest.raises(ResourceLimitError):
-            ideal_degree_rank(8, 1)
+            ideal_degree_rank(9, 1)
         with pytest.raises(ResourceLimitError):
             ideal_degree_rank(3, 5)
 
@@ -253,9 +290,82 @@ class TestDegreeSlices:
                 reference.add(generator_row(n, index, mu, alpha))
             assert space.pivots == reference.pivots, (n, d)
 
+    def test_column_bound(self):
+        # every n <= 7 slice passes, and every slice the CLI asks for at n = 8
+        for n in range(1, 8):
+            for d in range(n + 2):
+                _check_oracle_caps(n, d)
+        for d in range(8):
+            _check_oracle_caps(8, d)
+        for call in (lambda: quotient_dims(8, 8), lambda: quotient_dims(8, 9),
+                     lambda: ideal_degree_rank(8, 8), lambda: ideal_degree_rank(8, 9)):
+            start = perf_counter()
+            with pytest.raises(ResourceLimitError, match="capped at 3432 columns"):
+                call()
+            assert perf_counter() - start < 1.0
+
     def test_rank_report_mentions_dimension(self):
         text = rank_report(3, 2)
         assert "rank" in text and "quotient dimension:  2" in text
+
+
+class TestLyndonGenerators:
+    """The slices are eliminated over the X^mu * M_L with L Lyndon only; the
+    full generator set is the reference."""
+
+    COMPOSITIONS = {m: sorted(refinements((m,), m)) for m in range(1, 13)}
+
+    def test_matches_rotation_definition(self):
+        for alphas in self.COMPOSITIONS.values():
+            for alpha in alphas:
+                rotations = [alpha[i:] + alpha[:i] for i in range(1, len(alpha))]
+                assert is_lyndon(alpha) == all(alpha < r for r in rotations), alpha
+
+    def test_counts_match_necklace_formula(self):
+        counts = [sum(map(is_lyndon, self.COMPOSITIONS[m])) for m in range(1, 13)]
+        necklace = [sum(mobius(k) * (2 ** (m // k) - 1) for k in range(1, m + 1)
+                        if m % k == 0) // m for m in range(1, 13)]
+        assert counts == necklace == [1, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+
+    def test_freeness_count(self):
+        # prod over Lyndon L of 1 / (1 - t^|L|) counts the monomials in the
+        # M_L of each degree; QSym is free on them, so it counts compositions
+        series = [1] + [0] * 12
+        for m, alphas in self.COMPOSITIONS.items():
+            for _ in filter(is_lyndon, alphas):
+                for j in range(m, 13):
+                    series[j] += series[j - m]
+        assert series[1:] == [2 ** (m - 1) for m in range(1, 13)]
+
+    def test_rows_are_the_lyndon_subset_in_order(self):
+        for n in range(1, 6):
+            for d in range(n + 2):
+                assert slice_generators(n, d) == [
+                    (mu, alpha) for mu, alpha in full_slice_generators(n, d)
+                    if is_lyndon(alpha)], (n, d)
+
+    @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)] + [(7, 7)])
+    def test_pivots_match_full_generator_set(self, n, dmax):
+        for d in range(dmax + 1):
+            space, index = _slice(n, d)
+            full = IntegerRowSpace(len(index)).add_until_full(full_generator_rows(n, d, index))
+            assert set(space.pivots) == set(full.pivots), (n, d)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_spans_equal_full_generator_set(self, n):
+        for d in range(n + 2):
+            space, index = _slice(n, d)
+            for row in full_generator_rows(n, d, index):
+                assert space.contains(row), (n, d)
+
+    def test_dropping_a_lyndon_generator_is_caught(self, monkeypatch):
+        lyndon = oracle.slice_generators
+        monkeypatch.setattr(oracle, "slice_generators", lambda n, d: [
+            (mu, alpha) for mu, alpha in lyndon(n, d) if alpha != (1, 2)])
+        monkeypatch.setattr(oracle, "_slice_cache", {})
+        assert quotient_dims(3, 4) != [1, 2, 2, 0, 0]
+        assert hilbert_series(4, "oracle") != hilbert_series(4, "formula")
+        assert not staircase_holds(4, 3)
 
 
 class TestRowSpaceMembership:
@@ -306,12 +416,15 @@ class TestHilbertSeries:
     def test_oracle_agrees(self, n):
         assert hilbert_series(n, "oracle") == hilbert_series(n, "formula")
 
-    @pytest.mark.slow
-    def test_oracle_agrees_at_8(self, monkeypatch):
-        monkeypatch.setattr(combinat, "ORACLE_CAP", 8)
+    def test_oracle_agrees_at_8(self):
         expected = tuple(ballot(8, k) for k in range(8))
         assert hilbert_series(8, "oracle").coefficients == expected
         assert all(staircase_holds(8, d) for d in range(8))
+
+    @pytest.mark.slow
+    def test_oracle_agrees_at_9_below_degree_8(self, monkeypatch):
+        monkeypatch.setattr(combinat, "ORACLE_CAP", 9)
+        assert quotient_dims(9, 7) == [ballot(9, k) for k in range(8)]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_staircase(self, n):
