@@ -14,7 +14,7 @@ Dyck-vector enumeration, and the closed-form generating function.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
@@ -210,12 +210,10 @@ def rank_report(n: int, d: int) -> str:
 # Hilbert series, three ways
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(namedtuple("HilbertSeries", "n coefficients")):
     """Graded dimensions of the quotient, degrees 0..n-1."""
 
-    n: int
-    coefficients: tuple
+    __slots__ = ()
 
     def __str__(self):
         return " ".join(str(c) for c in self.coefficients)

@@ -21,7 +21,7 @@ integers; ``Polynomial`` and ``Fraction`` appear only in what it returns.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import neg
 
@@ -37,14 +37,12 @@ from .poly import Polynomial
 from .qsym import check_fundamental_size, fundamental_qsym
 
 
-@dataclass
-class ReductionResult:
+class ReductionResult(namedtuple("ReductionResult", "remainder certificate")):
     """Dyck-supported remainder plus an exact certificate:
     input = remainder + sum(c * G_eps for (c, eps) in certificate).
     """
 
-    remainder: Polynomial
-    certificate: list = field(default_factory=list)
+    __slots__ = ()
 
 
 class GBasis:

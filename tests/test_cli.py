@@ -1,9 +1,11 @@
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -519,6 +521,27 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1 5 14 28 42 42"
+
+
+class TestStartup:
+    """A cold ``python -m qsymq`` pays for every module it imports: neither
+    the package nor its CLI loads ``dataclasses`` or the modules it brings
+    in.  A deny-list, since the stdlib's own imports vary between versions."""
+
+    HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+    @pytest.mark.parametrize("module", ["qsymq", "qsymq.cli"])
+    def test_no_heavy_imports(self, module):
+        probe = ("import sys; before = set(sys.modules); "
+                 f"import {module}; print(*sorted(set(sys.modules) - before))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert module in added
+        assert not added & self.HEAVY, sorted(added & self.HEAVY)
 
 
 class TestPolynomialCost:

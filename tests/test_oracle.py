@@ -441,6 +441,21 @@ class TestHilbertSeries:
     def test_text_form(self):
         assert str(hilbert_series(6, "formula")) == "1 5 14 28 42 42"
 
+    def test_repr(self):
+        assert repr(hilbert_series(3)) == "HilbertSeries(n=3, coefficients=(1, 2, 2))"
+
+    def test_equal_series_hash_equal(self):
+        formula, enum = hilbert_series(5, "formula"), hilbert_series(5, "enum")
+        assert formula == enum and hash(formula) == hash(enum)
+        assert len({formula, enum, hilbert_series(4)}) == 2
+
+    def test_immutable(self):
+        series = hilbert_series(3)
+        with pytest.raises(AttributeError):
+            series.n = 4
+        assert not hasattr(series, "__dict__")
+        assert series.n == 3
+
 
 class TestGeneratingFunction:
     def test_corrected_form_holds(self):

@@ -20,6 +20,7 @@ from qsymq.poly import Polynomial, graded_lex_key, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import (
     GBasis,
+    ReductionResult,
     coordinates,
     enumerate_transdiagonal,
     g_element,
@@ -321,6 +322,30 @@ class TestNormalForm:
                     q = random_polynomial(rng, n, max_degree=2, max_terms=3)
                     product = q * fundamental_qsym(alpha, n)
                     assert normal_form(product).remainder.is_zero(), (n, alpha)
+
+
+class TestReductionResult:
+    def test_by_position_and_keyword(self):
+        result = normal_form(Polynomial.variable(2, 1))
+        remainder, certificate = result
+        assert ReductionResult(remainder, certificate) == result
+        assert ReductionResult(remainder=remainder, certificate=certificate) == result
+        assert result.remainder is remainder and result.certificate is certificate
+
+    def test_certificate_is_required(self):
+        with pytest.raises(TypeError):
+            ReductionResult(Polynomial.zero(2))
+
+    def test_repr(self):
+        assert repr(normal_form(Polynomial.variable(2, 1))) == (
+            "ReductionResult(remainder=Polynomial(2, -1*X^(0, 1)), "
+            "certificate=[(Fraction(1, 1), (1, 0))])")
+
+    def test_immutable(self):
+        result = normal_form(Polynomial.variable(2, 1))
+        with pytest.raises(AttributeError):
+            result.remainder = Polynomial.zero(2)
+        assert not hasattr(result, "__dict__")
 
 
 class TestMembership:
