@@ -246,8 +246,9 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
     series by formula, enumeration and elimination up to ORACLE_CAP; the
     staircase (the pivots of each eliminated slice are its transdiagonal
     vectors); LM(G_eps) = X^eps up to degree min(max_degree, n); 25 seeded
-    certificates, on the kernel's integer G dicts; and, for n <= 5, every
-    degree-n monomial reducing to 0.  The G chains are counted first.
+    certificates, on the kernel's integer G terms (``GBasis._terms``); and,
+    for n <= 5, every degree-n monomial reducing to 0.  The G chains are
+    counted first.
     """
     basis = quotient.shared_basis(n)  # refuses n < 1; builds no G yet
     max_degree = n if max_degree is None else max_degree
@@ -279,7 +280,7 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
 
     bad = []
     for eps in indices:
-        g = basis._g(eps)
+        g = basis._terms(eps)
         if max(g, key=graded_lex_key) != eps or g[eps] != 1:
             bad.append(eps)
     check("leading-monomials", not bad, f"failures: {bad[:5]}")
@@ -291,7 +292,7 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
         scale, rest = p.integer_terms()  # p - remainder - certificate, times scale
         for coeff, eps in result.certificate:
             c = int(coeff * scale)
-            for exps, x in basis._g(eps).items():
+            for exps, x in basis._terms(eps).items():
                 rest[exps] = rest.get(exps, 0) - c * x
         for exps, coeff in result.remainder.items():
             rest[exps] = rest.get(exps, 0) - coeff * scale

@@ -9,21 +9,24 @@ the entry right after that zero, ``beta`` the positive tail) and recurse:
 
     G_eps = G_(w a beta 0*) - x_k * G_(w (a-1) beta 0*)
 
-So every G element has integer coefficients, and ``GBasis`` keeps each as an
-``{exponents: int}`` dict, the product by ``x_k`` being a shift of exponent k.
+So every G element has integer coefficients.  ``GBasis`` interns each
+exponent vector once as an int id and keeps each G element as an ``{id: int}``
+dict; the product by ``x_k`` is a shift of exponent k, cached per id.
 
 Reducing the graded-lex-greatest transdiagonal monomial of a polynomial by
 the matching G element, repeatedly, yields a unique remainder supported on
 Dyck vectors together with an exact membership certificate; a max-heap
 hands ``GBasis.normal_form`` the transdiagonal terms in that order.  The
 input is scaled once by the lcm of its denominators, so the loop runs on
-integers; ``Polynomial`` and ``Fraction`` appear only in what it returns.
+integers keyed by ids; ``Polynomial`` and ``Fraction`` appear only in what it
+returns.
 """
 
 import heapq
 from collections import namedtuple
 from fractions import Fraction
 from operator import neg
+from threading import Lock
 
 from .combinat import (
     check_size,
@@ -48,17 +51,42 @@ class ReductionResult(namedtuple("ReductionResult", "remainder certificate")):
 class GBasis:
     """G elements for a fixed number of variables, memoized by index.
 
-    Each G element is kept as an ``{exponents: int}`` dict, since every G has
-    integer coefficients; ``g`` converts one to a ``Polynomial``.  Entries are
-    inserted whole and never mutated, so concurrent readers always observe
-    results identical to recomputation.
+    The basis interns every exponent vector it meets: ``_ids`` maps a vector
+    to an int id, ``_vecs`` maps the id back, and ``_entries`` holds the
+    id's heap entry ``(-degree, negated exponents, id)``, or ``None`` when
+    the vector is Dyck.  ``_shifts[k - 1]`` caches the id of ``x_k`` times a
+    vector.  A G element has integer coefficients and is kept as an
+    ``{id: int}`` dict in ``_memo``, keyed by its index; ``g`` converts one
+    to a ``Polynomial``.  Memo entries are inserted whole and never mutated,
+    and an id is published in ``_ids`` only after its vector and entry are
+    stored, so concurrent readers always observe results identical to
+    recomputation.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        self._memo: dict[tuple, dict[tuple, int]] = {}
+        self._memo: dict[tuple, dict[int, int]] = {}
+        self._ids: dict[tuple, int] = {}
+        self._vecs: list[tuple] = []
+        self._entries: list[tuple | None] = []
+        self._shifts: list[dict[int, int]] = [{} for _ in range(n)]
+        self._lock = Lock()
+
+    def _id(self, exps: tuple) -> int:
+        """The id of an exponent vector, interned on first sight."""
+        i = self._ids.get(exps)
+        if i is None:
+            with self._lock:
+                i = self._ids.get(exps)
+                if i is None:
+                    i = len(self._vecs)
+                    self._vecs.append(exps)
+                    self._entries.append(
+                        None if is_dyck(exps) else (-sum(exps), tuple(map(neg, exps)), i))
+                    self._ids[exps] = i
+        return i
 
     def g(self, eps) -> Polynomial:
         """The G element indexed by a transdiagonal vector of length n."""
@@ -68,27 +96,39 @@ class GBasis:
         if is_dyck(eps):
             raise ValueError(f"{eps} is Dyck; G elements are indexed by "
                              "transdiagonal vectors")
-        return Polynomial._trusted(self.n, {e: Fraction(c) for e, c in self._g(eps).items()})
+        return Polynomial._trusted(self.n, {e: Fraction(c) for e, c in self._terms(eps).items()})
 
-    def _g(self, eps) -> dict[tuple, int]:
+    def _terms(self, eps) -> dict[tuple, int]:
+        """G_eps as ``{exponents: int}``, for a trusted transdiagonal index."""
+        vecs = self._vecs
+        return {vecs[i]: c for i, c in self._g(eps).items()}
+
+    def _g(self, eps) -> dict[int, int]:
         hit = self._memo.get(eps)
         if hit is not None:
             return hit
         zeros = check_chain(eps, self.n)
         if not zeros:  # eps = alpha 0*
-            result = dict.fromkeys(fundamental_qsym(zero_erasure(eps), self.n).support(), 1)
+            support = fundamental_qsym(zero_erasure(eps), self.n).support()
+            result = dict.fromkeys(map(self._id, support), 1)
         else:
             k = zeros[-1]
             left = eps[:k - 1] + eps[k:] + (0,)  # w a beta 0*
             right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]  # w (a-1) beta 0*
             assert not is_dyck(left) and not is_dyck(right)
             result = dict(self._g(left))
-            for exps, c in self._g(right).items():  # subtract x_k * G_right
-                exps = exps[:k - 1] + (exps[k - 1] + 1,) + exps[k:]
-                result[exps] = result.get(exps, 0) - c
-                if not result[exps]:
-                    del result[exps]
-        assert len({sum(e) for e in result}) <= 1  # homogeneous
+            shift, vecs = self._shifts[k - 1], self._vecs
+            for i, c in self._g(right).items():  # subtract x_k * G_right
+                j = shift.get(i)
+                if j is None:
+                    exps = vecs[i]
+                    j = shift[i] = self._id(exps[:k - 1] + (exps[k - 1] + 1,) + exps[k:])
+                new = result.get(j, 0) - c
+                if new:
+                    result[j] = new
+                else:
+                    del result[j]
+        assert len({sum(self._vecs[i]) for i in result}) <= 1  # homogeneous
         self._memo[eps] = result
         return result
 
@@ -100,33 +140,44 @@ class GBasis:
         deterministic.  A step adds terms only below the cancelled one, so a
         max-heap of the transdiagonal terms present visits each at most once.
         ``p`` is scaled once by the lcm of its denominators, the loop runs on
-        integers, and the remainder and certificate are divided back.
+        integers keyed by interned ids, and the remainder and certificate are
+        divided back.
         """
         if p.n != self.n:
             raise ValueError(f"polynomial in {p.n} variables, basis has {self.n}")
-        scale, work = p.integer_terms()
+        scale, terms = p.integer_terms()
+        memo, vecs, entries = self._memo, self._vecs, self._entries
+        work = {self._id(e): c for e, c in terms.items()}
         certificate = []
-        # entries (-degree, -eps, eps): the min-heap pops the greatest first
-        heap = [(-sum(e), tuple(map(neg, e)), e) for e in work if not is_dyck(e)]
+        # the min-heap pops the graded-lex-greatest first
+        heap = [entries[i] for i in work if entries[i] is not None]
         heapq.heapify(heap)
         while heap:
-            *_, eps = heapq.heappop(heap)
-            coeff = work.get(eps)
+            i = heapq.heappop(heap)[2]
+            coeff = work.get(i)
             if coeff is None:  # cancelled since it was pushed, or a duplicate
                 continue
+            eps = vecs[i]
+            g = memo.get(eps)
+            if g is None:
+                g = self._g(eps)
             minus = -coeff
-            for exps, c in self._g(eps).items():
-                old = work.get(exps)
-                new = minus * c if old is None else old + minus * c
-                if new:
-                    work[exps] = new
-                    if old is None and not is_dyck(exps):
-                        heapq.heappush(heap, (-sum(exps), tuple(map(neg, exps)), exps))
+            for j, c in g.items():
+                old = work.get(j)
+                if old is None:
+                    work[j] = minus * c
+                    entry = entries[j]
+                    if entry is not None:
+                        heapq.heappush(heap, entry)
                 else:
-                    del work[exps]
-            assert eps not in work  # the G element cancels its own index
+                    new = old + minus * c
+                    if new:
+                        work[j] = new
+                    else:
+                        del work[j]
+            assert i not in work  # the G element cancels its own index
             certificate.append((Fraction(coeff, scale), eps))
-        remainder = {e: Fraction(c, scale) for e, c in work.items()}
+        remainder = {vecs[i]: Fraction(c, scale) for i, c in work.items()}
         return ReductionResult(Polynomial._trusted(self.n, remainder), certificate)
 
     def remainder(self, p: Polynomial) -> Polynomial:

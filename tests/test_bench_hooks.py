@@ -1,9 +1,11 @@
 """The bench tracer (``perfbench/tracing.py``) wraps qsymq functions named by
 (module, attribute) in its ``SPANS`` and ``COUNTERS`` lists.  Each name must
-still resolve in ``src/qsymq``, or ``perfbench/run.py --trace 1`` breaks."""
+still resolve in ``src/qsymq``, or ``perfbench/run.py --trace 1`` breaks.  The
+``quotient.g`` span also relies on the shape of the G memo."""
 
 import importlib
 import importlib.util
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,20 @@ def test_hook_resolves(module_name, attribute):
     owner_name, _, name = attribute.rpartition(".")
     owner = getattr(module, owner_name) if owner_name else module
     assert callable(vars(owner).get(name)), f"{module_name}.{attribute} is gone"
+
+
+def test_g_span_contract():
+    # the tracer skips a ``quotient.g`` call whose index is already a key of
+    # ``GBasis._memo``, and counts ``g_terms`` as the length of what ``_g``
+    # returns; G_(1,0,2,0) has 8 terms
+    from qsymq.quotient import GBasis
+
+    skip = tracing.SKIP["quotient.g"]
+    (count,) = [extra for _, _, name, extra in tracing.SPANS if name == "quotient.g"]
+    basis, eps = GBasis(4), (1, 0, 2, 0)
+    assert not skip(basis, eps)
+    g = basis._g(eps)
+    assert skip(basis, eps)
+    assert all(type(key) is tuple and len(key) == 4 for key in basis._memo)
+    assert isinstance(g, Mapping)
+    assert count(g) == {"g_terms": 8} == {"g_terms": len(basis.g(eps))}

@@ -441,8 +441,11 @@ class TestVerifyCanFail:
 
     def test_corrupted_g(self, capsys):
         # G_(0,0,3,0,1) is no G's `left` or `right`, and the Dyck term put
-        # above its index leaves the reductions through it finite
-        shared_basis(5)._memo[(0, 0, 3, 0, 1)] = {(0, 0, 3, 0, 1): 1, (0, 1, 0, 0, 3): 1}
+        # above its index leaves the reductions through it finite; the memo
+        # holds G elements over the basis's interned vector ids
+        basis = shared_basis(5)
+        basis._memo[(0, 0, 3, 0, 1)] = {basis._id((0, 0, 3, 0, 1)): 1,
+                                        basis._id((0, 1, 0, 0, 3)): 1}
         code, out, _ = run_cli(capsys, "verify", "-n", "5")
         assert code == 3
         assert "FAIL leading-monomials: failures: [(0, 0, 3, 0, 1)]" in out.splitlines()

@@ -1,5 +1,9 @@
+import heapq
+import sys
+import threading
 from fractions import Fraction
 from math import comb
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +19,14 @@ from qsymq.combinat import (
     is_dyck,
     last_nonzero,
     vectors_of_degree,
+    zero_erasure,
 )
 from qsymq.poly import Polynomial, graded_lex_key, random_polynomial
 from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import (
     GBasis,
     ReductionResult,
+    check_chain,
     coordinates,
     enumerate_transdiagonal,
     g_element,
@@ -184,6 +190,137 @@ class TestAgainstPolynomialRecursion:
         basis, memo = GBasis(n), {}
         for eps in enumerate_transdiagonal(n, n + 1):
             assert basis.g(eps) == reference_g(n, eps, memo), eps
+
+
+class ReferenceGBasis:
+    """The earlier kernel, kept as a reference: each G element is an
+    ``{exponents: int}`` dict keyed by its own exponent tuples, and the
+    reduction loop works on exponent-keyed terms and heap entries built per
+    term."""
+
+    def __init__(self, n):
+        self.n = n
+        self._memo = {}
+
+    def _g(self, eps):
+        hit = self._memo.get(eps)
+        if hit is not None:
+            return hit
+        zeros = check_chain(eps, self.n)
+        if not zeros:
+            result = dict.fromkeys(fundamental_qsym(zero_erasure(eps), self.n).support(), 1)
+        else:
+            k = zeros[-1]
+            left = eps[:k - 1] + eps[k:] + (0,)
+            right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]
+            result = dict(self._g(left))
+            for exps, c in self._g(right).items():
+                exps = exps[:k - 1] + (exps[k - 1] + 1,) + exps[k:]
+                result[exps] = result.get(exps, 0) - c
+                if not result[exps]:
+                    del result[exps]
+        self._memo[eps] = result
+        return result
+
+    def normal_form(self, p):
+        scale, work = p.integer_terms()
+        certificate = []
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in work if not is_dyck(e)]
+        heapq.heapify(heap)
+        while heap:
+            *_, eps = heapq.heappop(heap)
+            coeff = work.get(eps)
+            if coeff is None:
+                continue
+            minus = -coeff
+            for exps, c in self._g(eps).items():
+                old = work.get(exps)
+                new = minus * c if old is None else old + minus * c
+                if new:
+                    work[exps] = new
+                    if old is None and not is_dyck(exps):
+                        heapq.heappush(heap, (-sum(exps), tuple(map(neg, exps)), exps))
+                else:
+                    del work[exps]
+            certificate.append((Fraction(coeff, scale), eps))
+        remainder = {e: Fraction(c, scale) for e, c in work.items()}
+        return ReductionResult(Polynomial._trusted(self.n, remainder), certificate)
+
+
+REFERENCE_BASES = {}
+
+
+def reference_basis(n):
+    if n not in REFERENCE_BASES:
+        REFERENCE_BASES[n] = ReferenceGBasis(n)
+    return REFERENCE_BASES[n]
+
+
+def assert_same_reduction(result, expected):
+    """Equal remainders, with their terms in the same order, and equal
+    certificate lists."""
+    assert list(result.remainder.items()) == list(expected.remainder.items())
+    assert result.certificate == expected.certificate
+
+
+class TestAgainstReferenceKernel:
+    """The interned kernel against the exponent-keyed one it replaced."""
+
+    @given(st.integers(1, 6).flatmap(lambda n: polynomials(n=n, max_degree=n + 1)))
+    def test_hypothesis_polynomials(self, p):
+        assert_same_reduction(shared_basis(p.n).normal_form(p),
+                              reference_basis(p.n).normal_form(p))
+
+    @pytest.mark.parametrize("forms", range(3, 7))
+    def test_linear_form_products_n7(self, forms, rng):
+        n = 7
+        for _ in range(2):
+            p = Polynomial.constant(n, 1)
+            for _ in range(forms):
+                form = {random_vector(rng, n, 1): rng.randint(-7, 7) or 1 for _ in range(n)}
+                p = p * Polynomial(n, form)
+            assert_same_reduction(shared_basis(n).normal_form(p),
+                                  reference_basis(n).normal_form(p))
+
+    def test_every_g_element_n6(self):
+        basis, reference = GBasis(6), ReferenceGBasis(6)
+        for eps in enumerate_transdiagonal(6, 6):
+            assert list(basis._terms(eps).items()) == list(reference._g(eps).items()), eps
+
+
+class TestConcurrentReaders:
+    """Threads that share one fresh basis intern vectors and build G elements
+    concurrently, and still get the single-threaded results."""
+
+    def test_four_threads_match_one(self, rng):
+        inputs = [random_polynomial(rng, 5, max_degree=5, max_terms=8) for _ in range(40)]
+        expected = [GBasis(5).normal_form(p) for p in inputs]
+        shared, start = GBasis(5), threading.Barrier(4)
+        results = [None] * 4
+
+        def work(t):
+            start.wait(timeout=60)
+            # each thread starts at a different offset, so the threads build
+            # different G elements at once over shared vectors and sub-elements
+            order = [*range(10 * t, 40), *range(10 * t)]
+            results[t] = {i: shared.normal_form(inputs[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            for i, want in enumerate(expected):
+                assert_same_reduction(got[i], want)
+        assert len(shared._ids) == len(shared._vecs) == len(shared._entries)
+        assert all(shared._vecs[i] == v for v, i in shared._ids.items())
 
 
 @st.composite
