@@ -48,7 +48,7 @@ def check_composition(alpha) -> Composition:
     """Validate and normalize a composition (any iterable of parts >= 1)."""
     alpha = tuple(alpha)
     for part in alpha:
-        if not isinstance(part, int) or part < 1:
+        if type(part) is not int or part < 1:  # exactly int, so not bool
             raise ValueError(f"composition parts must be integers >= 1, got {alpha}")
     return alpha
 
@@ -115,7 +115,7 @@ def compositions_of(d: int) -> list[Composition]:
 def check_vector(nu) -> ExponentVector:
     nu = tuple(nu)
     for e in nu:
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:  # exactly int, so not bool
             raise ValueError(f"vector entries must be integers >= 0, got {nu}")
     return nu
 

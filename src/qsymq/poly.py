@@ -9,8 +9,10 @@ tuples lexicographically.
 There are two ways in.  ``Polynomial(n, terms)`` validates and normalizes
 input from outside: users, the parser, JSON records and tests.
 ``Polynomial._trusted(n, terms)`` wraps, unchecked, terms the library built
-itself: length-n tuples of ints mapped to nonzero ``Fraction``s.  A product
-counts its term products against ``combinat.SIZE_CAP`` before making any.
+itself: length-n tuples of ints mapped to nonzero ``Fraction``s.  The
+constructor refuses float coefficients and ``bool`` exponents rather than
+store a float's binary value or a ``True`` key.  A product counts its term
+products against ``combinat.SIZE_CAP`` before making any.
 """
 
 import math
@@ -18,6 +20,14 @@ from fractions import Fraction
 from numbers import Rational
 
 from .combinat import check_size, check_vector
+
+
+def _exact(value) -> Fraction:
+    """``Fraction(value)``, refusing floats: a float such as 0.1 is not the
+    rational it was written as."""
+    if isinstance(value, float):
+        raise ValueError(f"coefficients must be exact, got the float {value!r}")
+    return Fraction(value)
 
 
 def graded_lex_key(nu):
@@ -39,7 +49,7 @@ class Polynomial:
             exps = check_vector(exps)
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} has length != {n}")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 clean[exps] = coeff
         self._terms = clean
@@ -102,7 +112,8 @@ class Polynomial:
     def integer_terms(self):
         """``(scale, {exps: int})``: the terms times the lcm of their denominators."""
         scale = math.lcm(*(c.denominator for c in self._terms.values()))
-        return scale, {e: int(c * scale) for e, c in self._terms.items()}
+        return scale, {e: c.numerator * (scale // c.denominator)
+                       for e, c in self._terms.items()}
 
     def leading_monomial(self):
         """Graded-lex-greatest (exponents, coefficient) pair; error on zero."""
@@ -159,7 +170,7 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, value):
-        value = Fraction(value)
+        value = _exact(value)
         terms = {e: c * value for e, c in self._terms.items()} if value else {}
         return Polynomial._trusted(self.n, terms)
 

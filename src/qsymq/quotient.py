@@ -9,9 +9,13 @@ the entry right after that zero, ``beta`` the positive tail) and recurse:
 
     G_eps = G_(w a beta 0*) - x_k * G_(w (a-1) beta 0*)
 
-So every G element has integer coefficients.  ``GBasis`` interns each
-exponent vector once as an int id and keeps each G element as an ``{id: int}``
-dict; the product by ``x_k`` is a shift of exponent k, cached per id.
+So every G element has integer coefficients and is homogeneous of degree
+``|eps|``: the base case checks that on the support of ``F_alpha``, and the
+recursion keeps it.  ``GBasis`` interns each exponent vector once as an int
+id and keeps each G element as an ``{id: int}`` dict; the product by ``x_k``
+is a shift of exponent k, cached per id.  ``GBasis.g`` hands an element out
+as a ``Polynomial`` in one pass, with one ``Fraction`` per distinct
+coefficient, shared by the terms that carry it.
 
 Reducing the graded-lex-greatest transdiagonal monomial of a polynomial by
 the matching G element, repeatedly, yields a unique remainder supported on
@@ -56,11 +60,14 @@ class GBasis:
     id's heap entry ``(-degree, negated exponents, id)``, or ``None`` when
     the vector is Dyck.  ``_shifts[k - 1]`` caches the id of ``x_k`` times a
     vector.  A G element has integer coefficients and is kept as an
-    ``{id: int}`` dict in ``_memo``, keyed by its index; ``g`` converts one
-    to a ``Polynomial``.  Memo entries are inserted whole and never mutated,
-    and an id is published in ``_ids`` only after its vector and entry are
-    stored, so concurrent readers always observe results identical to
-    recomputation.
+    ``{id: int}`` dict in ``_memo``, keyed by its index.  ``_g`` checks
+    homogeneity only in the base case, where the support of ``F_alpha``
+    must have degree ``|alpha|``; the recursion preserves it.  ``g``
+    converts an element to a ``Polynomial`` in one pass, making one
+    ``Fraction`` per distinct coefficient.  Memo entries are inserted whole
+    and never mutated, and an id is published in ``_ids`` only after its
+    vector and entry are stored, so concurrent readers always observe
+    results identical to recomputation.
     """
 
     def __init__(self, n: int):
@@ -96,7 +103,9 @@ class GBasis:
         if is_dyck(eps):
             raise ValueError(f"{eps} is Dyck; G elements are indexed by "
                              "transdiagonal vectors")
-        return Polynomial._trusted(self.n, {e: Fraction(c) for e, c in self._terms(eps).items()})
+        g, vecs = self._g(eps), self._vecs
+        fractions = {c: Fraction(c) for c in set(g.values())}
+        return Polynomial._trusted(self.n, {vecs[i]: fractions[c] for i, c in g.items()})
 
     def _terms(self, eps) -> dict[tuple, int]:
         """G_eps as ``{exponents: int}``, for a trusted transdiagonal index."""
@@ -110,12 +119,16 @@ class GBasis:
         zeros = check_chain(eps, self.n)
         if not zeros:  # eps = alpha 0*
             support = fundamental_qsym(zero_erasure(eps), self.n).support()
+            degree = sum(eps)
+            assert all(sum(e) == degree for e in support)  # homogeneous
             result = dict.fromkeys(map(self._id, support), 1)
         else:
             k = zeros[-1]
             left = eps[:k - 1] + eps[k:] + (0,)  # w a beta 0*
             right = left[:k - 1] + (left[k - 1] - 1,) + left[k:]  # w (a-1) beta 0*
             assert not is_dyck(left) and not is_dyck(right)
+            # homogeneous by induction: G_left has degree |eps|, G_right
+            # degree |eps| - 1, and x_k adds one
             result = dict(self._g(left))
             shift, vecs = self._shifts[k - 1], self._vecs
             for i, c in self._g(right).items():  # subtract x_k * G_right
@@ -128,7 +141,6 @@ class GBasis:
                     result[j] = new
                 else:
                     del result[j]
-        assert len({sum(self._vecs[i]) for i in result}) <= 1  # homogeneous
         self._memo[eps] = result
         return result
 

@@ -1,10 +1,12 @@
 """The bench tracer (``perfbench/tracing.py``) wraps qsymq functions named by
 (module, attribute) in its ``SPANS`` and ``COUNTERS`` lists.  Each name must
 still resolve in ``src/qsymq``, or ``perfbench/run.py --trace 1`` breaks.  The
-``quotient.g`` span also relies on the shape of the G memo."""
+``quotient.g`` span also relies on the shape of the G memo, and the
+reduce-warm set-up (``perfbench/setup_probe.py``) on the names it imports."""
 
 import importlib
 import importlib.util
+import sys
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -13,15 +15,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 HOOKS = [(module, attribute) for module, attribute, *_ in tracing.SPANS + tracing.COUNTERS]
 
 
@@ -51,3 +53,16 @@ def test_g_span_contract():
     assert all(type(key) is tuple and len(key) == 4 for key in basis._memo)
     assert isinstance(g, Mapping)
     assert count(g) == {"g_terms": 8} == {"g_terms": len(basis.g(eps))}
+
+
+def test_reduce_warm_setup(monkeypatch):
+    # setup_probe.py imports ``clock`` from a top-level ``tracing`` module
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    from qsymq.quotient import GBasis, enumerate_transdiagonal
+
+    seconds, basis = load_perfbench("setup_probe").timed_setup()
+    assert seconds > 0
+    assert type(basis) is GBasis and basis.n == 7
+    indices = enumerate_transdiagonal(7, 7)
+    assert len(indices) == 3003
+    assert set(basis._memo) == set(indices)

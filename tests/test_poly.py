@@ -165,10 +165,33 @@ class TestBoundary:
         (1, 0.0, 0),  # exponents that are not ints
         (1, "0", 0),
         (Fraction(1), 0, 0),
+        (True, 0, 0),  # bools are ints to isinstance, but not exponents
+        (1, False, 0),
     ])
     def test_bad_keys_rejected(self, key):
         with pytest.raises(ValueError):
             Polynomial(3, {key: 1})
+
+    @pytest.mark.parametrize("coeff", [0.1, 0.5, 2.0])
+    def test_float_coefficients_rejected(self, coeff):
+        # 0.1 would be stored as 3602879701896397/36028797018963968
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, 0): coeff})
+        with pytest.raises(ValueError):
+            Polynomial.constant(2, coeff)
+        with pytest.raises(ValueError):
+            Polynomial.variable(2, 1).scale(coeff)
+
+    def test_exact_coefficients_accepted(self):
+        p = Polynomial(2, {(1, 0): Fraction(1, 10), (0, 1): "1/10", (0, 0): 3})
+        assert set(p.items()) == {((1, 0), Fraction(1, 10)), ((0, 1), Fraction(1, 10)),
+                                  ((0, 0), Fraction(3))}
+
+    @pytest.mark.parametrize("alpha", [(True,), (2, True), (False, 1)])
+    def test_bool_composition_parts_rejected(self, alpha):
+        for build in (monomial_qsym, fundamental_qsym):
+            with pytest.raises(ValueError):
+                build(alpha, 2)
 
     @given(polynomials(n=3), polynomials(n=3))
     def test_ring_operations(self, p, q):
@@ -198,3 +221,4 @@ class TestBoundary:
         assert all(type(c) is int and c != 0 for c in terms.values())
         assert Polynomial(p.n, {e: Fraction(c, scale) for e, c in terms.items()}) == p
         assert gcd(scale, *terms.values()) == 1  # no smaller scale would do
+        assert terms == {e: int(c * scale) for e, c in p.items()}

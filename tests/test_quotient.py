@@ -111,6 +111,18 @@ class TestGElements:
             assert poly.is_homogeneous()
             assert poly.degree() == sum(eps)
 
+    def test_every_element_n7(self):
+        # _g checks homogeneity only on the base case's F_alpha; this is the
+        # full scan of every element the reduce-warm set-up builds
+        basis = GBasis(7)
+        for eps in enumerate_transdiagonal(7, 7):
+            terms = basis._terms(eps)
+            assert {sum(e) for e in terms} == {sum(eps)}, eps
+            assert max(terms, key=graded_lex_key) == eps and terms[eps] == 1, eps
+            poly = basis.g(eps)
+            assert poly == Polynomial(7, terms), eps
+            assert all(type(c) is Fraction for _, c in poly.items()), eps
+
 
 class TestRewriteRules:
     """x_k * G_phi = G_plus - G_minus, two rearrangements of the recursion."""
