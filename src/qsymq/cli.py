@@ -20,6 +20,11 @@ JSON output schema: ``{"n": int, "operation": str,
 with coefficients rendered as exact text; ``report`` comes from
 ``hilbert --method oracle --report``.
 
+Output: each subcommand computes its whole answer first; ``main`` then
+renders it, as one JSON record under ``--json`` or else as text, and prints
+it only once rendering has succeeded.  An error prints nothing to stdout and
+its message to stderr.
+
 Exit codes: 0 success, 1 usage error, 2 expression parse error,
 3 verification mismatch or negative membership verdict.
 """
@@ -199,11 +204,6 @@ def polynomial_from_record(record) -> Polynomial:
                       {tuple(t["exps"]): Fraction(t["coeff"]) for t in record["terms"]})
 
 
-def _emit(args, record, text):
-    """Print ``record`` as JSON, or else call ``text()`` and print that."""
-    print(json.dumps(record) if args.json else text())
-
-
 # ---------------------------------------------------------------------------
 # argument helpers
 
@@ -241,76 +241,77 @@ def _expression(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes everything, then returns (exit code, record,
+# text), where text() yields the output lines and only renders; main prints
 
 
-def cmd_hilbert(args) -> int:
+def cmd_hilbert(args):
     series = oracle.hilbert_series(args.n, args.method)
     record = {"n": args.n, "operation": "hilbert", "method": args.method,
               "series": list(series.coefficients)}
-    report = args.report and args.method == "oracle"
-    if report and args.json:
+    if args.report and args.method == "oracle":
         record["report"] = [oracle.rank_record(args.n, d) for d in range(args.n)]
-    _emit(args, record, lambda: str(series))
-    if report and not args.json:
-        for d in range(args.n):
-            print(oracle.rank_report(args.n, d))
-    return 0
+
+    def text():
+        yield str(series)
+        for r in record.get("report", ()):
+            yield f"degree {r['degree']} slice in {args.n} variables:"
+            yield f"  columns (monomials): {r['columns']}"
+            yield f"  generator rows:      {r['generator_rows']}"
+            yield f"  rank:                {r['rank']}"
+            yield f"  quotient dimension:  {r['dimension']}"
+    return 0, record, text
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args):
     vectors = enumerate_dyck(args.n, args.k)
     record = {"n": args.n, "operation": "basis", "count": len(vectors),
               "vectors": [list(v) for v in vectors]}
-    if args.json:
-        print(json.dumps(record))
-        return 0
-    for vec in vectors:
-        print(",".join(str(e) for e in vec))
-        if args.paths:
-            print(render_path(vec))
-            print()
-    return 0
+
+    def text():
+        for vec in vectors:
+            yield ",".join(str(e) for e in vec)
+            if args.paths:
+                yield render_path(vec)
+                yield ""
+    return 0, record, text
 
 
-def cmd_gbasis(args) -> int:
+def cmd_gbasis(args):
     eps = _vector_arg(args.vector, args.n)
     poly = quotient.g_element(eps, args.n)
     exps, coeff = poly.leading_monomial()
     record = _polynomial_record(
         "gbasis", poly,
         leading={"coeff": str(coeff), "exps": list(exps)})
-    _emit(args, record, lambda: "\n".join([
+    return 0, record, lambda: [
         render_polynomial(poly),
         f"leading monomial: {render_polynomial(Polynomial.monomial(args.n, exps, coeff))}",
-    ]))
-    return 0
+    ]
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     p = parse_polynomial(_expression(args), args.n)
     if not (args.certificate or args.json):  # no certificate: drop degree >= n
-        print(render_polynomial(quotient.shared_basis(args.n).remainder(p)))
-        return 0
+        remainder = quotient.shared_basis(args.n).remainder(p)
+        return 0, None, lambda: [render_polynomial(remainder)]  # no --json, no record
     result = quotient.normal_form(p)
     certificate = [{"coeff": str(c), "eps": list(e)}
                    for c, e in result.certificate]
     record = _polynomial_record("reduce", result.remainder, certificate=certificate)
-    _emit(args, record, lambda: "\n".join(
+    return 0, record, lambda: (
         [render_polynomial(result.remainder), "certificate:"]
-        + [f"  {c} * G_{','.join(str(x) for x in e)}" for c, e in result.certificate]))
-    return 0
+        + [f"  {c} * G_{','.join(str(x) for x in e)}" for c, e in result.certificate])
 
 
-def cmd_member(args) -> int:
+def cmd_member(args):
     p = parse_polynomial(_expression(args), args.n)
     inside = quotient.is_member(p)
     record = {"n": args.n, "operation": "member", "member": inside}
-    _emit(args, record, lambda: "in ideal" if inside else "not in ideal")
-    return 0 if inside else 3
+    return (0 if inside else 3), record, lambda: ["in ideal" if inside else "not in ideal"]
 
 
-def cmd_qsym(args) -> int:
+def cmd_qsym(args):
     if args.monomial is not None:
         alpha = _composition_arg(args.monomial)
         poly = monomial_qsym(alpha, args.n)
@@ -319,11 +320,10 @@ def cmd_qsym(args) -> int:
         alpha = _composition_arg(args.fundamental)
         poly = fundamental_qsym(alpha, args.n)
         name = "qsym-fundamental"
-    _emit(args, _polynomial_record(name, poly), lambda: render_polynomial(poly))
-    return 0
+    return 0, _polynomial_record(name, poly), lambda: [render_polynomial(poly)]
 
 
-def cmd_qsym_mul(args) -> int:
+def cmd_qsym_mul(args):
     alpha = _composition_arg(args.left)
     beta = _composition_arg(args.right)
     expansion = f_product(alpha, beta)
@@ -331,31 +331,28 @@ def cmd_qsym_mul(args) -> int:
     record = _polynomial_record(
         "qsym-mul", product,
         compositions=[{"parts": list(g), "multiplicity": m} for g, m in expansion])
-    _emit(args, record, lambda: "\n".join(
+    return 0, record, lambda: (
         [f"{m} * F_{','.join(str(p) for p in g) if g else '0'}" for g, m in expansion]
-        + [f"product: {render_polynomial(product)}"]))
-    return 0
+        + [f"product: {render_polynomial(product)}"])
 
 
-def cmd_gf_check(args) -> int:
+def cmd_gf_check(args):
     holds = oracle.generating_function_check(args.order, as_printed=args.as_printed)
     form = "printed (-2t)" if args.as_printed else "corrected (-2x)"
     record = {"operation": "gf-check", "order": args.order,
               "form": form, "holds": holds}
     verdict = (f"{form} numerator: identity "
                f"{'holds' if holds else 'FAILS'} mod x^{args.order + 1}")
-    _emit(args, record, lambda: verdict)
-    return 0 if holds else 3
+    return (0 if holds else 3), record, lambda: [verdict]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     checks = oracle.verify(args.n, args.max_degree)
     failed = sum(not item["ok"] for item in checks)
     record = {"n": args.n, "operation": "verify", "checks": checks, "ok": not failed}
-    _emit(args, record, lambda: "\n".join(
+    return (3 if failed else 0), record, lambda: (
         [f"ok   {c['name']}" if c["ok"] else f"FAIL {c['name']}: {c['detail']}" for c in checks]
-        + [f"{failed} check(s) failed" if failed else "all checks passed"]))
-    return 3 if failed else 0
+        + [f"{failed} check(s) failed" if failed else "all checks passed"])
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +444,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 1
-    try:
-        return args.handler(args)
+    try:  # render inside the try too: str() of a huge int raises ValueError
+        code, record, text = args.handler(args)
+        lines = [json.dumps(record)] if args.json else list(text())
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -458,6 +456,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

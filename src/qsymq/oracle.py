@@ -119,8 +119,9 @@ def _check_oracle_caps(n: int, d: int) -> None:
 
 
 def degree_columns(n: int, d: int) -> list[tuple]:
-    """Monomials of degree d in n variables, descending graded lex."""
-    return sorted(vectors_of_degree(n, d), key=graded_lex_key, reverse=True)
+    """Monomials of degree d in n variables, descending graded lex: within
+    one degree that is descending lex, ``vectors_of_degree`` reversed."""
+    return list(vectors_of_degree(n, d))[::-1]
 
 
 def is_lyndon(alpha) -> bool:
@@ -141,11 +142,12 @@ def slice_generators(n: int, d: int):
 
 
 def _generator_rows(n: int, d: int, index):
-    terms = {}  # alpha -> the integer terms of M_alpha, built once per slice
+    supports = {}  # alpha -> the support of M_alpha (all coefficients 1), once per slice
     for mu, alpha in slice_generators(n, d):
-        if alpha not in terms:
-            terms[alpha] = [(exps, int(c)) for exps, c in monomial_qsym(alpha, n).items()]
-        yield {index[tuple(a + b for a, b in zip(mu, exps))]: c for exps, c in terms[alpha]}
+        if alpha not in supports:
+            supports[alpha] = list(monomial_qsym(alpha, n).support())
+        yield dict.fromkeys((index[tuple(a + b for a, b in zip(mu, exps))]
+                             for exps in supports[alpha]), 1)
 
 
 _slice_cache: dict[tuple, tuple[IntegerRowSpace, dict]] = {}
@@ -191,19 +193,6 @@ def rank_record(n: int, d: int) -> dict:
     return {"degree": d, "columns": len(index),
             "generator_rows": len(slice_generators(n, d)),
             "rank": space.rank, "dimension": len(index) - space.rank}
-
-
-def rank_report(n: int, d: int) -> str:
-    """Human-readable summary of the degree-d elimination."""
-    record = rank_record(n, d)
-    lines = [
-        f"degree {d} slice in {n} variables:",
-        f"  columns (monomials): {record['columns']}",
-        f"  generator rows:      {record['generator_rows']}",
-        f"  rank:                {record['rank']}",
-        f"  quotient dimension:  {record['dimension']}",
-    ]
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

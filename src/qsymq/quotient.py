@@ -255,5 +255,5 @@ def enumerate_transdiagonal(n: int, dmax: int) -> list[tuple]:
         raise ValueError(f"need n >= 1 and dmax >= 0, got n = {n}, dmax = {dmax}")
     out = []
     for d in range(1, dmax + 1):
-        out.extend(sorted(v for v in vectors_of_degree(n, d) if not is_dyck(v)))
+        out.extend(v for v in vectors_of_degree(n, d) if not is_dyck(v))
     return out

@@ -22,6 +22,7 @@ from qsymq.cli import (
     render_polynomial,
 )
 from qsymq.poly import Polynomial
+from qsymq.qsym import fundamental_qsym, monomial_qsym
 from qsymq.quotient import ReductionResult, g_element, normal_form, shared_basis
 
 _REFERENCE_TOKEN = re.compile(
@@ -340,6 +341,20 @@ class TestSubcommands:
         assert polynomial_from_record(record) == direct.remainder
         assert [(Fraction(c["coeff"]), tuple(c["eps"]))
                 for c in record["certificate"]] == direct.certificate
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["gbasis", "-n", "4", "--vector", "1,0,2"], lambda: g_element((1, 0, 2, 0), 4)),
+        (["qsym", "-n", "3", "--monomial", "2,1"], lambda: monomial_qsym((2, 1), 3)),
+        (["qsym", "-n", "4", "--fundamental", "1,2"], lambda: fundamental_qsym((1, 2), 4)),
+        (["qsym-mul", "-n", "3", "--left", "2", "--right", "1,1"],
+         lambda: fundamental_qsym((2,), 3) * fundamental_qsym((1, 1), 3)),
+    ])
+    def test_json_terms_reingest(self, capsys, argv, expected):
+        # with test_reduce_json_reingests: every record with "terms" rebuilds
+        # the library's own polynomial
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert polynomial_from_record(json.loads(out)) == expected()
 
     def test_member_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "member", "-n", "2", "--expr", "x1 + x2")

@@ -28,7 +28,6 @@ from qsymq.oracle import (
     ideal_degree_rank,
     is_lyndon,
     quotient_dims,
-    rank_report,
     row_space_member,
     slice_generators,
 )
@@ -303,10 +302,6 @@ class TestDegreeSlices:
             with pytest.raises(ResourceLimitError, match="capped at 3432 columns"):
                 call()
             assert perf_counter() - start < 1.0
-
-    def test_rank_report_mentions_dimension(self):
-        text = rank_report(3, 2)
-        assert "rank" in text and "quotient dimension:  2" in text
 
 
 class TestLyndonGenerators:
