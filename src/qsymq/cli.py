@@ -246,10 +246,12 @@ def _expression(args):
 
 
 def cmd_hilbert(args):
+    if args.report and args.method != "oracle":
+        raise ValueError(f"--report needs --method oracle, got --method {args.method}")
     series = oracle.hilbert_series(args.n, args.method)
     record = {"n": args.n, "operation": "hilbert", "method": args.method,
               "series": list(series.coefficients)}
-    if args.report and args.method == "oracle":
+    if args.report:
         record["report"] = [oracle.rank_record(args.n, d) for d in range(args.n)]
 
     def text():

@@ -100,14 +100,6 @@ def refinements(alpha, n: int) -> list[Composition]:
     return out
 
 
-def compositions_of(d: int) -> list[Composition]:
-    """All compositions of ``d`` (the refinements of ``(d,)``), in ascending
-    lex order on the parts."""
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    return sorted(refinements((d,) if d else (), d))
-
-
 # ---------------------------------------------------------------------------
 # exponent vectors and path classification
 
@@ -304,19 +296,6 @@ def canonical_descent_word(alpha, offset: int = 0) -> tuple[int, ...]:
         word.extend(range(high - part + 1, high + 1))
         high -= part
     return tuple(word)
-
-
-def complement_descent_word(alpha, offset: int = 0) -> tuple[int, ...]:
-    """An alternative word with descent set exactly D(alpha): complement the
-    canonical word built for the complementary descent set.
-    """
-    alpha = check_composition(alpha)
-    d = sum(alpha)
-    if d == 0:
-        return ()
-    co = composition_from_subset(set(range(1, d)) - descent_set(alpha), d)
-    base = canonical_descent_word(co)
-    return tuple(offset + d + 1 - v for v in base)
 
 
 def shuffles(u, v) -> list[tuple]:

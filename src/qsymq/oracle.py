@@ -5,11 +5,16 @@ Lyndon composition and |L| <= d.  Over Q, QSym is a free polynomial algebra
 on these M_L (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11,
 2000; freeness is due to Malvenuto-Reutenauer, 1995); restriction to n
 variables is a surjective algebra map, and an ideal generated by the
-positive part of an algebra is generated by its algebra generators.  No G
-element is used.  The slice's rank over Q, computed by fraction-free integer
-elimination on sparse rows ``{column: nonzero int}``, gives the quotient
-dimension as (#monomials of degree d) - rank; a row X^mu * M_L has only
-C(n, len(L)) nonzeros.  Cross-checks: the ballot-number formula, direct
+positive part of an algebra is generated by its algebra generators.
+
+Only the rows X^mu * M_(1) and, for L != (1), the x1-free rows (mu_1 = 0)
+are eliminated.  They still span: x1 = M_(1) - (x2 + ... + xn) writes a row
+with mu_1 > 0 as multiples of M_(1) plus rows with a smaller mu_1; induct.
+
+No G element is used.  The slice's rank over Q, computed by fraction-free
+integer elimination on sparse rows ``{column: nonzero int}``, gives the
+quotient dimension as (#monomials of degree d) - rank; a row X^mu * M_L has
+only C(n, len(L)) nonzeros.  Cross-checks: the ballot-number formula, direct
 Dyck-vector enumeration, and the closed-form generating function.
 """
 
@@ -33,10 +38,11 @@ class IntegerRowSpace:
 
     Rows are sparse dicts ``{column: int}``.  ``pivots`` maps each pivot
     column to its primitive row, which is positive at that column and zero to
-    the left of it, so ranks and reduced rows are deterministic.  ``add``
-    strips the content and fixes the sign, once per stored row; ``reduce``
-    strips it only after a step that scaled the row by a pivot lead other
-    than 1, which is enough to bound coefficient growth.
+    the left of it: an echelon form with distinct leading columns, so ranks
+    and stored rows are deterministic.  ``add`` strips the content and fixes
+    the sign, once per stored row; ``reduce`` strips it only after a step
+    that scaled the row by a pivot lead other than 1, which is enough to
+    bound coefficient growth.
     """
 
     def __init__(self, ncols: int):
@@ -48,26 +54,30 @@ class IntegerRowSpace:
         return len(self.pivots)
 
     def reduce(self, row) -> dict[int, int]:
-        """Eliminate all pivot columns from ``row`` (fraction-free), lowest first."""
+        """Eliminate the leading column of ``row`` (fraction-free) while it is
+        a pivot.  The result is empty iff the row lies in the space; else its
+        leading column is no pivot.  The tail is not reduced."""
         row = {col: x for col, x in row.items() if x}
         if row and not 0 <= min(row) <= max(row) < self.ncols:
             raise ValueError(f"row has a column outside [0, {self.ncols})")
         pivots = self.pivots
-        todo = [col for col in row if col in pivots]
+        todo = list(row)  # every column of the row, so the first live pop is its lead
         heapify(todo)
         while todo:
             pcol = heappop(todo)
             x = row.get(pcol)
             if x is None:  # cancelled since it was pushed
                 continue
-            prow = pivots[pcol]
+            prow = pivots.get(pcol)
+            if prow is None:  # the lead is no pivot
+                break
             lead = prow[pcol]
             if lead != 1:
                 for col in row:
                     row[col] *= lead
             for col, b in prow.items():
                 y = row.pop(col, 0)
-                if not y and col in pivots:  # fill-in, right of pcol
+                if not y:  # fill-in, right of pcol
                     heappush(todo, col)
                 y -= x * b
                 if y:
@@ -131,13 +141,14 @@ def is_lyndon(alpha) -> bool:
 
 def slice_generators(n: int, d: int):
     """(mu, L) labels of the generators X^mu * M_L of the degree-d slice, L
-    Lyndon, sorted by (|L|, L, mu).  They span it, since the M_L generate
-    QSym_n as an algebra (Hoffman 2000; Malvenuto-Reutenauer 1995)."""
+    Lyndon, with mu_1 = 0 unless L = (1), sorted by (|L|, L, mu).  They span
+    it (see the module docstring)."""
     out = []
     for a in range(1, d + 1):
         for alpha in sorted(filter(is_lyndon, refinements((a,), n))):
             for mu in vectors_of_degree(n, d - a):
-                out.append((mu, alpha))
+                if not mu[0] or alpha == (1,):
+                    out.append((mu, alpha))
     return out
 
 

@@ -130,13 +130,6 @@ class Polynomial:
         degrees = {sum(e) for e in self._terms}
         return len(degrees) <= 1
 
-    def homogeneous_components(self) -> dict:
-        """Map degree -> homogeneous part (zero polynomial omitted)."""
-        parts = {}
-        for exps, coeff in self._terms.items():
-            parts.setdefault(sum(exps), {})[exps] = coeff
-        return {d: Polynomial(self.n, t) for d, t in sorted(parts.items())}
-
     # arithmetic
 
     def _require_same_ring(self, other):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from qsymq.combinat import composition_from_subset
+from qsymq.combinat import (
+    canonical_descent_word,
+    check_composition,
+    composition_from_subset,
+    descent_set,
+    refinements,
+)
 from qsymq.poly import Polynomial
 
 settings.register_profile("exact", deadline=None, max_examples=60)
@@ -49,6 +55,31 @@ def random_vector(rng: random.Random, n, degree):
     for _ in range(degree):
         exps[rng.randrange(n)] += 1
     return tuple(exps)
+
+
+def compositions_of(d):
+    """All compositions of ``d`` (the refinements of ``(d,)``), in ascending
+    lex order on the parts."""
+    return sorted(refinements((d,) if d else (), d))
+
+
+def complement_descent_word(alpha, offset=0):
+    """An alternative word with descent set exactly D(alpha): complement the
+    canonical word built for the complementary descent set."""
+    alpha = check_composition(alpha)
+    d = sum(alpha)
+    if d == 0:
+        return ()
+    co = composition_from_subset(set(range(1, d)) - descent_set(alpha), d)
+    return tuple(offset + d + 1 - v for v in canonical_descent_word(co))
+
+
+def homogeneous_components(p):
+    """Map degree -> homogeneous part of ``p`` (zero polynomial omitted)."""
+    parts = {}
+    for exps, coeff in p.items():
+        parts.setdefault(sum(exps), {})[exps] = coeff
+    return {d: Polynomial(p.n, t) for d, t in sorted(parts.items())}
 
 
 @pytest.fixture

@@ -11,13 +11,11 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import random_vector
+from conftest import complement_descent_word, compositions_of, random_vector
 from qsymq import cli, oracle, quotient
 from qsymq.combinat import (
     ballot,
     catalan,
-    complement_descent_word,
-    compositions_of,
     dn_k,
     enumerate_dyck,
     is_dyck,

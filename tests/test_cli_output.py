@@ -44,10 +44,12 @@ GOLDEN = [
     (["hilbert", "-n", "3", "--method", "oracle", "--report", "--json"], 0,
      '{"n": 3, "operation": "hilbert", "method": "oracle", "series": [1, 2, 2], "report": [{"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1}, {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2}, {"degree": 2, "columns": 6, "generator_rows": 4, "rank": 4, "dimension": 2}]}\n',
      ""),
-    (["hilbert", "-n", "3", "--method", "enum", "--report"], 0, "1 2 2\n", ""),
-    (["hilbert", "-n", "3", "--method", "enum", "--report", "--json"], 0,
-     '{"n": 3, "operation": "hilbert", "method": "enum", "series": [1, 2, 2]}\n',
-     ""),
+    (["hilbert", "-n", "3", "--method", "enum", "--report"], 1,
+     "",
+     "error: --report needs --method oracle, got --method enum\n"),
+    (["hilbert", "-n", "3", "--method", "enum", "--report", "--json"], 1,
+     "",
+     "error: --report needs --method oracle, got --method enum\n"),
     (["hilbert", "-n", "4", "--json"], 0,
      '{"n": 4, "operation": "hilbert", "method": "formula", "series": [1, 3, 5, 5]}\n',
      ""),

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import compositions, vectors
+from conftest import complement_descent_word, compositions, compositions_of, vectors
 from qsymq import combinat
 from qsymq.combinat import (
     ResourceLimitError,
     ballot,
     canonical_descent_word,
     catalan,
-    complement_descent_word,
     composition_from_subset,
-    compositions_of,
     descent_set,
     dn_k,
     enumerate_dyck,

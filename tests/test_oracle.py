@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import compositions_of, homogeneous_components
 from qsymq import combinat, oracle
 from qsymq.combinat import (
     ResourceLimitError,
     ballot,
     catalan,
-    compositions_of,
     is_dyck,
     refinements,
     vectors_of_degree,
@@ -77,9 +77,10 @@ def rational_rank(rows, ncols: int) -> int:
 
 
 class ReferenceRowSpace:
-    """The earlier elimination kernel, kept as a reference: it strips the
-    content of the working row after every step, and stores a row that met
-    no pivot with its content."""
+    """The earlier elimination kernel, kept as a reference: it eliminates
+    every pivot column of the row, tail included, strips the content of the
+    working row after every step, and stores a row that met no pivot with
+    its content."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
@@ -121,6 +122,15 @@ class ReferenceRowSpace:
             self.pivots[col] = row
 
 
+def same_row_space(space, reference) -> bool:
+    """An ``IntegerRowSpace`` and a ``ReferenceRowSpace`` have the same rank
+    and pivot columns, and each contains the other's rows."""
+    return (space.rank == len(reference.pivots)
+            and set(space.pivots) == set(reference.pivots)
+            and all(map(space.contains, reference.pivots.values()))
+            and not any(map(reference.reduce, space.pivots.values())))
+
+
 def full_slice_generators(n: int, d: int):
     """The generator set before the Lyndon filter, kept as the reference:
     (mu, alpha) for every composition alpha with |alpha| <= d, sorted by
@@ -131,6 +141,12 @@ def full_slice_generators(n: int, d: int):
             for mu in vectors_of_degree(n, d - a):
                 out.append((mu, alpha))
     return out
+
+
+def lyndon_slice_generators(n: int, d: int):
+    """The Lyndon rows without the x1 filter, kept as the reference: every
+    X^mu * M_L with L Lyndon, sorted by (|L|, L, mu)."""
+    return [(mu, alpha) for mu, alpha in full_slice_generators(n, d) if is_lyndon(alpha)]
 
 
 def full_generator_rows(n, d, index):
@@ -199,13 +215,10 @@ class TestRank:
         for row in rows:
             space.add(dict(enumerate(row)))
             reference.add(dict(enumerate(row)))
-        assert space.rank == len(reference.pivots)
         probe = dict(enumerate(probe[:ncols]))
         assert space.contains(probe) == (not reference.reduce(probe))
-        # the pivots differ only by the content the reference leaves in
-        assert space.pivots == {
-            col: {c: x // gcd(*prow.values()) for c, x in prow.items()}
-            for col, prow in reference.pivots.items()}
+        # the stored rows differ (no tail reduction), the row space does not
+        assert same_row_space(space, reference)
 
     def test_pivot_rows_are_primitive(self):
         space = IntegerRowSpace(3)
@@ -219,6 +232,13 @@ class TestRank:
         space.add({0: 1, 1: 1})
         space.add({0: 1, 1: 3, 2: 2})
         assert space.pivots == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
+
+    def test_reduce_stops_at_a_non_pivot_lead(self):
+        space = IntegerRowSpace(3)
+        space.add({1: 1, 2: 1})
+        # column 0 is no pivot, so the pivot column 1 in the tail stays
+        assert space.reduce({0: 1, 1: 1}) == {0: 1, 1: 1}
+        assert space.reduce({1: 2, 2: 1}) == {2: -1}
 
     def test_contains(self):
         space = IntegerRowSpace(3)
@@ -280,14 +300,16 @@ class TestDegreeSlices:
 
     @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)] + [(7, 6)])
     def test_pivots_match_reference_kernel(self, n, dmax):
+        # the reference kernel on every Lyndon row checks both the dropped
+        # rows and the kernel's leading-term-only reduction
         for d in range(dmax + 1):
             space, index = _slice(n, d)
             reference = ReferenceRowSpace(len(index))
-            for mu, alpha in slice_generators(n, d):
+            for mu, alpha in lyndon_slice_generators(n, d):
                 if len(reference.pivots) == len(index):
                     break
                 reference.add(generator_row(n, index, mu, alpha))
-            assert space.pivots == reference.pivots, (n, d)
+            assert same_row_space(space, reference), (n, d)
 
     def test_column_bound(self):
         # every n <= 7 slice passes, and every slice the CLI asks for at n = 8
@@ -305,8 +327,8 @@ class TestDegreeSlices:
 
 
 class TestLyndonGenerators:
-    """The slices are eliminated over the X^mu * M_L with L Lyndon only; the
-    full generator set is the reference."""
+    """The slices are eliminated over the X^mu * M_L with L Lyndon only, and
+    mu_1 = 0 unless L = (1); the full generator set is the reference."""
 
     COMPOSITIONS = {m: sorted(refinements((m,), m)) for m in range(1, 13)}
 
@@ -332,12 +354,17 @@ class TestLyndonGenerators:
                     series[j] += series[j - m]
         assert series[1:] == [2 ** (m - 1) for m in range(1, 13)]
 
-    def test_rows_are_the_lyndon_subset_in_order(self):
+    def test_rows_are_the_x1_free_lyndon_subset_in_order(self):
         for n in range(1, 6):
             for d in range(n + 2):
                 assert slice_generators(n, d) == [
                     (mu, alpha) for mu, alpha in full_slice_generators(n, d)
-                    if is_lyndon(alpha)], (n, d)
+                    if is_lyndon(alpha) and (alpha == (1,) or mu[0] == 0)], (n, d)
+
+    def test_row_count(self):
+        # 808 of the 975 Lyndon rows at (7, 6), whose rank is 792
+        assert len(lyndon_slice_generators(7, 6)) == 975
+        assert len(slice_generators(7, 6)) == 808
 
     @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)] + [(7, 7)])
     def test_pivots_match_full_generator_set(self, n, dmax):
@@ -361,6 +388,15 @@ class TestLyndonGenerators:
         assert quotient_dims(3, 4) != [1, 2, 2, 0, 0]
         assert hilbert_series(4, "oracle") != hilbert_series(4, "formula")
         assert not staircase_holds(4, 3)
+
+    def test_dropping_x1_multiples_of_m1_is_caught(self, monkeypatch):
+        rows = oracle.slice_generators
+        monkeypatch.setattr(oracle, "slice_generators", lambda n, d: [
+            (mu, alpha) for mu, alpha in rows(n, d) if not mu[0]])
+        monkeypatch.setattr(oracle, "_slice_cache", {})
+        assert quotient_dims(3, 4) != [1, 2, 2, 0, 0]
+        assert hilbert_series(4, "oracle") != hilbert_series(4, "formula")
+        assert not staircase_holds(4, 2)
 
 
 class TestRowSpaceMembership:
@@ -394,7 +430,7 @@ class TestRowSpaceMembership:
             n = rng.randint(1, 6)
             p = random_polynomial(rng, n, max_degree=n + 1)
             reduced = p - normal_form(p).remainder
-            for part in reduced.homogeneous_components().values():
+            for part in homogeneous_components(reduced).values():
                 assert row_space_member(part), p
 
 

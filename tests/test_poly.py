@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import compositions, polynomials, vectors
+from conftest import compositions, homogeneous_components, polynomials, vectors
 from qsymq import combinat
 from qsymq.combinat import ResourceLimitError
 from qsymq.poly import Polynomial, diff_pairing, graded_lex_key
@@ -113,7 +113,7 @@ class TestCoefficients:
 
     def test_homogeneous_components(self):
         p = Polynomial(2, {(0, 1): 1, (2, 0): 3, (1, 1): -1})
-        parts = p.homogeneous_components()
+        parts = homogeneous_components(p)
         assert set(parts) == {1, 2}
         assert parts[1] == Polynomial(2, {(0, 1): 1})
         total = Polynomial.zero(2)

@@ -3,14 +3,9 @@ from math import comb
 import pytest
 from hypothesis import given
 
-from conftest import compositions, polynomials
+from conftest import complement_descent_word, compositions, compositions_of, polynomials
 from qsymq import combinat
-from qsymq.combinat import (
-    ResourceLimitError,
-    complement_descent_word,
-    compositions_of,
-    refinements,
-)
+from qsymq.combinat import ResourceLimitError, refinements
 from qsymq.poly import Polynomial
 from qsymq.combinat import zero_erasure
 from qsymq.qsym import f_product, fundamental_qsym, monomial_qsym

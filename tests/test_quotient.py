@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polynomials, random_vector
+from conftest import compositions_of, polynomials, random_vector
 from qsymq import combinat
 from qsymq.combinat import (
     ResourceLimitError,
     ballot,
-    compositions_of,
     enumerate_dyck,
     is_dyck,
     last_nonzero,
