@@ -50,11 +50,11 @@ def check_fundamental_size(alpha, n: int) -> int:
     """The number of terms of F_alpha in n variables, counted from |alpha|,
     len(alpha) and n; ``ResourceLimitError`` when it exceeds
     ``combinat.SIZE_CAP``."""
-    # a refinement with len(alpha) + r parts makes C(n, len(alpha) + r) terms
-    d, ell, terms = sum(alpha), len(alpha), 0
-    for r in range(min(d - ell, n - ell) + 1):
-        terms += comb(d - ell, r) * comb(n, ell + r)
-        check_size(terms, "terms in F_{} in {} variables", alpha, n)
+    # C(d - ell, r) refinements have ell + r parts and C(n, ell + r) terms
+    # each; by Vandermonde's identity the sum over r is C(d - ell + n, n - ell)
+    d, ell = sum(alpha), len(alpha)
+    terms = comb(d - ell + n, n - ell) if ell <= n else 0
+    check_size(terms, "terms in F_{} in {} variables", alpha, n)
     return terms
 
 

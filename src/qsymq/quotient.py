@@ -12,10 +12,12 @@ the entry right after that zero, ``beta`` the positive tail) and recurse:
 So every G element has integer coefficients and is homogeneous of degree
 ``|eps|``: the base case checks that on the support of ``F_alpha``, and the
 recursion keeps it.  ``GBasis`` interns each exponent vector once as an int
-id and keeps each G element as an ``{id: int}`` dict; the product by ``x_k``
-is a shift of exponent k, cached per id.  ``GBasis.g`` hands an element out
-as a ``Polynomial`` in one pass, with one ``Fraction`` per distinct
-coefficient, shared by the terms that carry it.
+id; the product by ``x_k`` is a shift of exponent k, cached per id.  A G
+element is built in an ``{id: int}`` dict, then frozen as two tuples, its ids
+and its int coefficients in the dict's order: a tuple slot is 8 bytes where
+a dict slot is about 48.  ``GBasis.g`` hands an element out as a
+``Polynomial`` in one pass, with one ``Fraction`` per distinct coefficient,
+shared by the terms that carry it.
 
 Reducing the graded-lex-greatest transdiagonal monomial of a polynomial by
 the matching G element, repeatedly, yields a unique remainder supported on
@@ -59,22 +61,24 @@ class GBasis:
     to an int id, ``_vecs`` maps the id back, and ``_entries`` holds the
     id's heap entry ``(-degree, negated exponents, id)``, or ``None`` when
     the vector is Dyck.  ``_shifts[k - 1]`` caches the id of ``x_k`` times a
-    vector.  A G element has integer coefficients and is kept as an
-    ``{id: int}`` dict in ``_memo``, keyed by its index.  ``_g`` checks
-    homogeneity only in the base case, where the support of ``F_alpha``
-    must have degree ``|alpha|``; the recursion preserves it.  ``g``
-    converts an element to a ``Polynomial`` in one pass, making one
-    ``Fraction`` per distinct coefficient.  Memo entries are inserted whole
-    and never mutated, and an id is published in ``_ids`` only after its
-    vector and entry are stored, so concurrent readers always observe
-    results identical to recomputation.
+    vector.  A G element has integer coefficients.  ``_g`` builds it in an
+    ``{id: int}`` dict, freezes it as a tuple of ids and a tuple of nonzero
+    ints in the dict's order, and publishes the pair in one store,
+    ``_memo[eps] = (ids, coeffs)``; it returns ``ids``, whose length is the
+    term count.  ``_g`` checks homogeneity only in the base case, where the
+    support of ``F_alpha`` must have degree ``|alpha|``; the recursion
+    preserves it.  ``g`` converts an element to a ``Polynomial`` in one
+    pass, making one ``Fraction`` per distinct coefficient.  Memo entries
+    are published whole and are immutable, and an id is published in
+    ``_ids`` only after its vector and entry are stored, so concurrent
+    readers always observe results identical to recomputation.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         self.n = n
-        self._memo: dict[tuple, dict[int, int]] = {}
+        self._memo: dict[tuple, tuple[tuple, tuple]] = {}
         self._ids: dict[tuple, int] = {}
         self._vecs: list[tuple] = []
         self._entries: list[tuple | None] = []
@@ -103,19 +107,32 @@ class GBasis:
         if is_dyck(eps):
             raise ValueError(f"{eps} is Dyck; G elements are indexed by "
                              "transdiagonal vectors")
-        g, vecs = self._g(eps), self._vecs
-        fractions = {c: Fraction(c) for c in set(g.values())}
-        return Polynomial._trusted(self.n, {vecs[i]: fractions[c] for i, c in g.items()})
+        ids, coeffs = self._element(eps)
+        fractions = {c: Fraction(c) for c in set(coeffs)}
+        vecs = self._vecs
+        return Polynomial._trusted(
+            self.n, {vecs[i]: fractions[c] for i, c in zip(ids, coeffs)})
 
     def _terms(self, eps) -> dict[tuple, int]:
         """G_eps as ``{exponents: int}``, for a trusted transdiagonal index."""
+        ids, coeffs = self._element(eps)
         vecs = self._vecs
-        return {vecs[i]: c for i, c in self._g(eps).items()}
+        return {vecs[i]: c for i, c in zip(ids, coeffs)}
 
-    def _g(self, eps) -> dict[int, int]:
+    def _element(self, eps) -> tuple[tuple, tuple]:
+        """``(ids, coeffs)`` of G_eps, built on first use."""
+        element = self._memo.get(eps)
+        if element is None:
+            self._g(eps)
+            element = self._memo[eps]
+        return element
+
+    def _g(self, eps) -> tuple:
+        """The ids of G_eps, built on first use; ``_memo[eps]`` pairs them
+        with the coefficients."""
         hit = self._memo.get(eps)
         if hit is not None:
-            return hit
+            return hit[0]
         zeros = check_chain(eps, self.n)
         if not zeros:  # eps = alpha 0*
             support = fundamental_qsym(zero_erasure(eps), self.n).support()
@@ -129,9 +146,9 @@ class GBasis:
             assert not is_dyck(left) and not is_dyck(right)
             # homogeneous by induction: G_left has degree |eps|, G_right
             # degree |eps| - 1, and x_k adds one
-            result = dict(self._g(left))
+            result = dict(zip(*self._element(left)))
             shift, vecs = self._shifts[k - 1], self._vecs
-            for i, c in self._g(right).items():  # subtract x_k * G_right
+            for i, c in zip(*self._element(right)):  # subtract x_k * G_right
                 j = shift.get(i)
                 if j is None:
                     exps = vecs[i]
@@ -141,8 +158,9 @@ class GBasis:
                     result[j] = new
                 else:
                     del result[j]
-        self._memo[eps] = result
-        return result
+        ids = tuple(result)
+        self._memo[eps] = ids, tuple(result.values())
+        return ids
 
     def normal_form(self, p: Polynomial) -> ReductionResult:
         """Reduce ``p`` modulo the ideal onto the Dyck monomial basis.
@@ -172,9 +190,9 @@ class GBasis:
             eps = vecs[i]
             g = memo.get(eps)
             if g is None:
-                g = self._g(eps)
+                g = self._element(eps)
             minus = -coeff
-            for j, c in g.items():
+            for j, c in zip(*g):
                 old = work.get(j)
                 if old is None:
                     work[j] = minus * c

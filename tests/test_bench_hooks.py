@@ -7,7 +7,6 @@ reduce-warm set-up (``perfbench/setup_probe.py``) on the names it imports."""
 import importlib
 import importlib.util
 import sys
-from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -41,7 +40,7 @@ def test_hook_resolves(module_name, attribute):
 def test_g_span_contract():
     # the tracer skips a ``quotient.g`` call whose index is already a key of
     # ``GBasis._memo``, and counts ``g_terms`` as the length of what ``_g``
-    # returns; G_(1,0,2,0) has 8 terms
+    # returns, a tuple of ids; G_(1,0,2,0) has 8 terms
     from qsymq.quotient import GBasis
 
     skip = tracing.SKIP["quotient.g"]
@@ -51,7 +50,8 @@ def test_g_span_contract():
     g = basis._g(eps)
     assert skip(basis, eps)
     assert all(type(key) is tuple and len(key) == 4 for key in basis._memo)
-    assert isinstance(g, Mapping)
+    ids, coeffs = basis._memo[eps]
+    assert g is ids and type(ids) is type(coeffs) is tuple
     assert count(g) == {"g_terms": 8} == {"g_terms": len(basis.g(eps))}
 
 

@@ -457,10 +457,10 @@ class TestVerifyCanFail:
     def test_corrupted_g(self, capsys):
         # G_(0,0,3,0,1) is no G's `left` or `right`, and the Dyck term put
         # above its index leaves the reductions through it finite; the memo
-        # holds G elements over the basis's interned vector ids
+        # holds each G element as its interned vector ids and its coefficients
         basis = shared_basis(5)
-        basis._memo[(0, 0, 3, 0, 1)] = {basis._id((0, 0, 3, 0, 1)): 1,
-                                        basis._id((0, 1, 0, 0, 3)): 1}
+        basis._memo[(0, 0, 3, 0, 1)] = ((basis._id((0, 0, 3, 0, 1)),
+                                         basis._id((0, 1, 0, 0, 3))), (1, 1))
         code, out, _ = run_cli(capsys, "verify", "-n", "5")
         assert code == 3
         assert "FAIL leading-monomials: failures: [(0, 0, 3, 0, 1)]" in out.splitlines()
@@ -644,3 +644,28 @@ class TestPolynomialCost:
         terms = json.loads(proc.stdout)["terms"]
         assert len(terms) == comb(24, 2)
         assert all(t["coeff"] == "1" for t in terms)
+
+
+class TestVerifyMemory:
+    # the child reads its own VmHWM, its peak resident set since it exec'd;
+    # ru_maxrss of a vfork-and-exec child can carry its parent's peak
+    CHILD = (
+        "import sys\n"
+        "from qsymq.cli import main\n"
+        "code = main(['verify', '-n', '8'])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    kb = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "print(kb, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_verify_8_peak_rss(self):
+        # all 11,440 G elements of degree <= 8, about 5.5 M terms, stay in
+        # the memo: about 130 MiB at peak as tuples, 290 MiB as dicts
+        proc = subprocess.run([sys.executable, "-c", self.CHILD],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peak_mib = int(proc.stderr.split()[-1]) / 1024
+        assert peak_mib < 160, peak_mib

@@ -8,7 +8,7 @@ from qsymq import combinat
 from qsymq.combinat import ResourceLimitError, refinements
 from qsymq.poly import Polynomial
 from qsymq.combinat import zero_erasure
-from qsymq.qsym import f_product, fundamental_qsym, monomial_qsym
+from qsymq.qsym import check_fundamental_size, f_product, fundamental_qsym, monomial_qsym
 
 # the ten monomials of F_21 in four variables
 F21_N4 = {
@@ -131,6 +131,19 @@ class TestSizeCap:
                             patch.setattr(combinat, "SIZE_CAP", size - 1)
                             with pytest.raises(ResourceLimitError):
                                 fundamental_qsym(alpha, n)
+
+    def test_fundamental_count_closed_form(self):
+        # the sum that the closed form replaced: C(d - ell, r) refinements
+        # with ell + r parts, of C(n, ell + r) terms each
+        def summed(alpha, n):
+            d, ell = sum(alpha), len(alpha)
+            return sum(comb(d - ell, r) * comb(n, ell + r)
+                       for r in range(min(d - ell, n - ell) + 1))
+
+        for n in range(1, 11):
+            for d in range(11):
+                for alpha in compositions_of(d):
+                    assert check_fundamental_size(alpha, n) == summed(alpha, n), (alpha, n)
 
     def test_monomial_cap_counts_terms_exactly(self, monkeypatch):
         for n in range(1, 6):

@@ -122,6 +122,25 @@ class TestGElements:
             assert poly == Polynomial(7, terms), eps
             assert all(type(c) is Fraction for _, c in poly.items()), eps
 
+    def test_frozen_memo_footprint(self):
+        # each element is frozen as a tuple of ids and a tuple of nonzero
+        # ints, published once; a dict per element takes about 48 bytes a term
+        basis = GBasis(6)
+        indices = enumerate_transdiagonal(6, 6)
+        built = [basis._g(eps) for eps in indices]
+        terms = size = 0
+        for eps, ids in zip(indices, built):
+            element = basis._memo[eps]
+            assert type(element) is tuple and len(element) == 2, eps
+            assert element[0] is ids and basis._g(eps) is ids, eps
+            coeffs = element[1]
+            assert type(ids) is type(coeffs) is tuple and len(ids) == len(coeffs), eps
+            assert all(coeffs), eps
+            terms += len(ids)
+            size += sum(map(sys.getsizeof, (element, ids, coeffs)))
+        assert len(basis._memo) == len(indices)
+        assert size <= 24 * terms, size / terms
+
 
 class TestRewriteRules:
     """x_k * G_phi = G_plus - G_minus, two rearrangements of the recursion."""
@@ -332,6 +351,25 @@ class TestConcurrentReaders:
                 assert_same_reduction(got[i], want)
         assert len(shared._ids) == len(shared._vecs) == len(shared._entries)
         assert all(shared._vecs[i] == v for v, i in shared._ids.items())
+
+
+class TestRestriction:
+    """Setting x_(n+1) = 0 maps J_(n+1) onto J_n and the Dyck vectors of
+    length n + 1 that end in 0 onto those of length n, so
+    N_n(p|x_(n+1)=0) = N_(n+1)(p)|x_(n+1)=0: two different G families agree."""
+
+    @staticmethod
+    def restrict(p):
+        n = p.n - 1
+        return Polynomial(n, {e[:n]: c for e, c in p.items() if not e[n]})
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_restriction_commutes_with_normal_form(self, n, rng):
+        small, large = GBasis(n), GBasis(n + 1)
+        for _ in range(30):
+            p = random_polynomial(rng, n + 1, max_degree=n + 1)
+            want = self.restrict(large.normal_form(p).remainder)
+            assert small.normal_form(self.restrict(p)).remainder == want, p
 
 
 @st.composite
