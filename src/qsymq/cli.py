@@ -35,10 +35,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import oracle, quotient
 from .combinat import ResourceLimitError, check_vector, enumerate_dyck
 from .poly import Polynomial
-from .qsym import f_product, fundamental_qsym, monomial_qsym
 
 
 class ParseError(ValueError):
@@ -242,10 +240,12 @@ def _expression(args):
 
 # ---------------------------------------------------------------------------
 # subcommands: each computes everything, then returns (exit code, record,
-# text), where text() yields the output lines and only renders; main prints
+# text), where text() yields the output lines and only renders; main prints.
+# Each imports the modules it calls, so a process loads only what it runs.
 
 
 def cmd_hilbert(args):
+    from . import oracle
     if args.report and args.method != "oracle":
         raise ValueError(f"--report needs --method oracle, got --method {args.method}")
     series = oracle.hilbert_series(args.n, args.method)
@@ -280,6 +280,7 @@ def cmd_basis(args):
 
 
 def cmd_gbasis(args):
+    from . import quotient
     eps = _vector_arg(args.vector, args.n)
     poly = quotient.g_element(eps, args.n)
     exps, coeff = poly.leading_monomial()
@@ -293,6 +294,7 @@ def cmd_gbasis(args):
 
 
 def cmd_reduce(args):
+    from . import quotient
     p = parse_polynomial(_expression(args), args.n)
     if not (args.certificate or args.json):  # no certificate: drop degree >= n
         remainder = quotient.shared_basis(args.n).remainder(p)
@@ -307,6 +309,7 @@ def cmd_reduce(args):
 
 
 def cmd_member(args):
+    from . import quotient
     p = parse_polynomial(_expression(args), args.n)
     inside = quotient.is_member(p)
     record = {"n": args.n, "operation": "member", "member": inside}
@@ -314,18 +317,17 @@ def cmd_member(args):
 
 
 def cmd_qsym(args):
+    from .qsym import fundamental_qsym, monomial_qsym
     if args.monomial is not None:
-        alpha = _composition_arg(args.monomial)
-        poly = monomial_qsym(alpha, args.n)
-        name = "qsym-monomial"
+        name, poly = "qsym-monomial", monomial_qsym(_composition_arg(args.monomial), args.n)
     else:
         alpha = _composition_arg(args.fundamental)
-        poly = fundamental_qsym(alpha, args.n)
-        name = "qsym-fundamental"
+        name, poly = "qsym-fundamental", fundamental_qsym(alpha, args.n)
     return 0, _polynomial_record(name, poly), lambda: [render_polynomial(poly)]
 
 
 def cmd_qsym_mul(args):
+    from .qsym import f_product, fundamental_qsym
     alpha = _composition_arg(args.left)
     beta = _composition_arg(args.right)
     expansion = f_product(alpha, beta)
@@ -339,6 +341,7 @@ def cmd_qsym_mul(args):
 
 
 def cmd_gf_check(args):
+    from . import oracle
     holds = oracle.generating_function_check(args.order, as_printed=args.as_printed)
     form = "printed (-2t)" if args.as_printed else "corrected (-2x)"
     record = {"operation": "gf-check", "order": args.order,
@@ -349,6 +352,7 @@ def cmd_gf_check(args):
 
 
 def cmd_verify(args):
+    from . import oracle
     checks = oracle.verify(args.n, args.max_degree)
     failed = sum(not item["ok"] for item in checks)
     record = {"n": args.n, "operation": "verify", "checks": checks, "ok": not failed}

@@ -23,7 +23,7 @@ from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
-from . import combinat, quotient
+from . import combinat
 from .combinat import ResourceLimitError, ballot, is_dyck, refinements, vectors_of_degree
 from .poly import Polynomial, graded_lex_key, random_polynomial
 from .qsym import monomial_qsym
@@ -250,6 +250,7 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
     for n <= 5, every degree-n monomial reducing to 0.  The G chains are
     counted first.
     """
+    from . import quotient  # verify is its only user here
     basis = quotient.shared_basis(n)  # refuses n < 1; builds no G yet
     max_degree = n if max_degree is None else max_degree
     if max_degree < 0:

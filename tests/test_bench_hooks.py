@@ -6,6 +6,9 @@ reduce-warm set-up (``perfbench/setup_probe.py``) on the names it imports."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +69,21 @@ def test_reduce_warm_setup(monkeypatch):
     indices = enumerate_transdiagonal(7, 7)
     assert len(indices) == 3003
     assert set(basis._memo) == set(indices)
+
+
+def test_traced_child_sees_handler_imports(tmp_path):
+    # a traced cli-cold request (``perfbench/cli_child.py``) imports qsymq.cli,
+    # installs the tracer, then runs main; the reduce handler imports
+    # ``quotient`` only after that, yet its calls must still be spans
+    spans_out = tmp_path / "spans.json"
+    argv = ["reduce", "-n", "4", "--expr", "x1^2*x4", "--certificate", "--json"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "cli_child.py"), str(spans_out), "0", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["operation"] == "reduce"
+    recorded = json.loads(spans_out.read_text(encoding="utf-8"))
+    names = {name for name, *_ in recorded["spans"]}
+    assert {"cli.main", "cli.parse_polynomial", "quotient.normal_form",
+            "quotient.g"} <= names

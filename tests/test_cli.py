@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsymq
 from conftest import polynomials
 from qsymq import cli, combinat, oracle, quotient
 from qsymq.cli import (
@@ -544,22 +546,90 @@ class TestExitCodes:
 class TestStartup:
     """A cold ``python -m qsymq`` pays for every module it imports: neither
     the package nor its CLI loads ``dataclasses`` or the modules it brings
-    in.  A deny-list, since the stdlib's own imports vary between versions."""
+    in (a deny-list, since the stdlib's own imports vary between versions),
+    and each subcommand loads only the ``qsymq`` modules it runs."""
 
     HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
-    @pytest.mark.parametrize("module", ["qsymq", "qsymq.cli"])
-    def test_no_heavy_imports(self, module):
-        probe = ("import sys; before = set(sys.modules); "
-                 f"import {module}; print(*sorted(set(sys.modules) - before))")
+    @staticmethod
+    def fresh(probe):
+        """Run ``probe`` in a new interpreter; return its last stdout line, split."""
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, timeout=30,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        added = set(proc.stdout.split())
+        return set(proc.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("module", ["qsymq", "qsymq.cli"])
+    def test_no_heavy_imports(self, module):
+        added = self.fresh("import sys; before = set(sys.modules); "
+                           f"import {module}; print(*sorted(set(sys.modules) - before))")
         assert module in added
         assert not added & self.HEAVY, sorted(added & self.HEAVY)
+
+    def test_package_loads_no_submodule(self):
+        loaded = self.fresh("import sys, qsymq; print(*(m for m in sys.modules "
+                            "if m.startswith('qsymq')))")
+        assert loaded == {"qsymq"}
+
+    QUOTIENT = {"cli", "combinat", "poly", "qsym", "quotient"}
+    QSYM = {"cli", "combinat", "poly", "qsym"}
+    ORACLE = {"cli", "combinat", "poly", "qsym", "oracle"}
+
+    SUBCOMMANDS = [
+        (["reduce", "-n", "4", "--expr", "x1^2*x4"], QUOTIENT),
+        (["member", "-n", "2", "--expr", "x1 + x2"], QUOTIENT),
+        (["gbasis", "-n", "3", "--vector", "1,0,1"], QUOTIENT),
+        (["qsym", "-n", "3", "--fundamental", "2,1"], QSYM),
+        (["qsym-mul", "-n", "2", "--left", "1", "--right", "1"], QSYM),
+        (["basis", "-n", "3"], {"cli", "combinat", "poly"}),
+        (["hilbert", "-n", "1"], ORACLE),
+        (["hilbert", "-n", "3", "--method", "oracle"], ORACLE),
+        (["gf-check", "--order", "3"], ORACLE),
+        (["verify", "-n", "2"], QUOTIENT | ORACLE),
+    ]
+
+    @pytest.mark.parametrize("argv, modules", SUBCOMMANDS,
+                             ids=[" ".join(argv) for argv, _ in SUBCOMMANDS])
+    def test_subcommand_loads_only_what_it_runs(self, argv, modules):
+        loaded = self.fresh("import sys; from qsymq.cli import main; "
+                            f"code = main({argv!r}); print(code, *(m for m in sys.modules "
+                            "if m.startswith('qsymq.')))")
+        assert loaded == {"0"} | {f"qsymq.{m}" for m in modules}  # exit code 0
+
+
+class TestPackage:
+    """``import qsymq`` defers each public name to its submodule (PEP 562)."""
+
+    NAMES = [
+        "GBasis", "HilbertSeries", "Polynomial", "ReductionResult", "ResourceLimitError",
+        "ballot", "catalan", "combinat", "composition_from_subset", "coordinates",
+        "descent_set", "diff_pairing", "dn_k", "enumerate_dyck", "enumerate_transdiagonal",
+        "f_product", "fundamental_qsym", "g_element", "generating_function_check",
+        "hilbert_series", "ideal_degree_rank", "is_dyck", "is_member", "monomial_qsym",
+        "normal_form", "oracle", "path_statistics", "poly", "qsym", "quotient",
+        "quotient_dims", "refinements", "row_space_member", "shuffles", "vector_to_dyck_word",
+    ]
+    SUBMODULES = {"combinat", "poly", "qsym", "quotient", "oracle"}
+
+    def test_all_is_unchanged(self):
+        assert qsymq.__all__ == self.NAMES
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_name_is_the_submodule_object(self, name):
+        value = getattr(qsymq, name)
+        if name in self.SUBMODULES:
+            assert value is importlib.import_module(f"qsymq.{name}")
+        else:
+            assert value is getattr(importlib.import_module(value.__module__), name)
+            assert value.__module__.removeprefix("qsymq.") in self.SUBMODULES
+        assert name in dir(qsymq)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            qsymq.no_such_name
+        assert not hasattr(qsymq, "__wrapped__")
 
 
 class TestPolynomialCost:

@@ -372,6 +372,23 @@ class TestRestriction:
             assert small.normal_form(self.restrict(p)).remainder == want, p
 
 
+class TestReversal:
+    """x_i -> x_(n+1-i) maps M_alpha to M_rev(alpha), so it fixes J_n; as
+    p - N(p) lies in J_n, so does its reversal, and N(rho p) = N(rho N(p))."""
+
+    @staticmethod
+    def reverse(p):
+        return Polynomial(p.n, {e[::-1]: c for e, c in p.items()})
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reversal_commutes_with_normal_form(self, n, rng):
+        basis = GBasis(n)
+        for _ in range(30):
+            p = random_polynomial(rng, n, max_degree=n + 1)
+            want = basis.normal_form(self.reverse(basis.normal_form(p).remainder)).remainder
+            assert basis.normal_form(self.reverse(p)).remainder == want, p
+
+
 @st.composite
 def small_polynomials(draw, past_n=1):
     n = draw(st.integers(1, 5))
