@@ -9,7 +9,8 @@ There are exactly ``catalan(n)`` Dyck vectors of length ``n``.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from operator import sub
 
 Composition = tuple[int, ...]
 ExponentVector = tuple[int, ...]
@@ -137,15 +138,15 @@ def is_dyck(nu) -> bool:
 
 
 def vectors_of_degree(n: int, d: int):
-    """All vectors in N^n with |nu| = d, in ascending lex order."""
+    """All vectors in N^n with |nu| = d, in ascending lex order.
+
+    Stars and bars: the partial sums nu_1 + ... + nu_i for i < n are a weakly
+    increasing sequence in [0, d], and their lex order is that of the vectors.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in vectors_of_degree(n - 1, d - first):
-            yield (first,) + rest
+    for sums in combinations_with_replacement(range(d + 1), n - 1):
+        yield tuple(map(sub, sums + (d,), (0,) + sums))
 
 
 def enumerate_dyck(n: int, k: int | None = None) -> list[ExponentVector]:
@@ -158,25 +159,15 @@ def enumerate_dyck(n: int, k: int | None = None) -> list[ExponentVector]:
     if k is not None and k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     _check_cap(n, ENUMERATION_CAP, "Dyck enumeration")
-    out = []
-    prefix = [0] * n
-
-    def extend(pos, total):
-        if pos == n:
-            if k is None or total == k:
-                out.append(tuple(prefix))
-            return
-        # entry at 1-based position pos+1 may raise the sum up to pos
-        top = pos - total
-        if k is not None:
-            top = min(top, k - total)
-        for e in range(top + 1):
-            prefix[pos] = e
-            extend(pos + 1, total + e)
-        prefix[pos] = 0
-
-    extend(0, 0)
-    out.sort(key=lambda v: (sum(v), v))
+    # (prefix, sum) pairs in lex order; the entry at 1-based position pos + 1
+    # may raise the sum up to pos, and up to k when k is given
+    paths = [((), 0)]
+    for pos in range(n):
+        top = pos if k is None else min(pos, k)
+        paths = [(prefix + (e,), total + e) for prefix, total in paths
+                 for e in range(top - total + 1)]
+    out = [prefix for prefix, total in paths if k is None or total == k]
+    out.sort(key=sum)  # stable: lex order within each degree
     return out
 
 
@@ -307,17 +298,12 @@ def shuffles(u, v) -> list[tuple]:
     u, v = tuple(u), tuple(v)
     if set(u) & set(v):
         raise ValueError(f"words must have disjoint letters: {u} and {v}")
-
-    def mix(a, b):
-        if not a:
-            yield b
-            return
-        if not b:
-            yield a
-            return
-        for rest in mix(a[1:], b):
-            yield (a[0],) + rest
-        for rest in mix(a, b[1:]):
-            yield (b[0],) + rest
-
-    return list(mix(u, v))
+    out = []
+    # u's letters go to each choice of positions, in lex order, so the
+    # words that put u's letters earliest come first
+    for spots in combinations(range(len(u) + len(v)), len(u)):
+        word = list(v)
+        for i, x in zip(spots, u):
+            word.insert(i, x)
+        out.append(tuple(word))
+    return out

@@ -247,14 +247,15 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
     staircase (the pivots of each eliminated slice are its transdiagonal
     vectors); LM(G_eps) = X^eps up to degree min(max_degree, n); 25 seeded
     certificates, on the kernel's integer G terms (``GBasis._terms``); and,
-    for n <= 5, every degree-n monomial reducing to 0.  The G chains are
-    counted first.
+    for n <= 5, every degree-n monomial reducing to 0.  n is checked against
+    ENUMERATION_CAP first, then the G chains are counted.
     """
     from . import quotient  # verify is its only user here
     basis = quotient.shared_basis(n)  # refuses n < 1; builds no G yet
     max_degree = n if max_degree is None else max_degree
     if max_degree < 0:
         raise ValueError(f"need max_degree >= 0, got {max_degree}")
+    combinat._check_cap(n, combinat.ENUMERATION_CAP, "Dyck enumeration")
     indices = []  # transdiagonal, ascending graded lex
     for d in range(1, min(max_degree, n) + 1):
         for eps in vectors_of_degree(n, d):

@@ -63,6 +63,50 @@ def compositions_of(d):
     return sorted(refinements((d,) if d else (), d))
 
 
+def reference_vectors_of_degree(n, d):
+    """All vectors in N^n with |nu| = d, in ascending lex order: a first
+    entry, then any vector of the rest."""
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for rest in reference_vectors_of_degree(n - 1, d - first):
+            yield (first,) + rest
+
+
+def reference_enumerate_dyck(n, k=None):
+    """Dyck vectors of length n (degree k only, if given) by depth-first
+    extension, then sorted into graded lex order."""
+    out = []
+    prefix = [0] * n
+
+    def extend(pos, total):
+        if pos == n:
+            if k is None or total == k:
+                out.append(tuple(prefix))
+            return
+        top = pos - total
+        if k is not None:
+            top = min(top, k - total)
+        for e in range(top + 1):
+            prefix[pos] = e
+            extend(pos + 1, total + e)
+        prefix[pos] = 0
+
+    extend(0, 0)
+    out.sort(key=lambda v: (sum(v), v))
+    return out
+
+
+def reference_shuffles(u, v):
+    """Interleavings of u and v: those that start with u's first letter,
+    then those that start with v's."""
+    if not u or not v:
+        return [tuple(u) + tuple(v)]
+    return ([(u[0],) + rest for rest in reference_shuffles(u[1:], v)]
+            + [(v[0],) + rest for rest in reference_shuffles(u, v[1:])])
+
+
 def complement_descent_word(alpha, offset=0):
     """An alternative word with descent set exactly D(alpha): complement the
     canonical word built for the complementary descent set."""

@@ -684,11 +684,23 @@ class TestPolynomialCost:
         assert proc.returncode == 1
         assert proc.stderr.startswith("resource limit:")
 
-    @pytest.mark.parametrize("n", ["9", "20"])
+    @pytest.mark.parametrize("n", ["9", "12", "20"])
     def test_verify_counts_g_chains_first(self, n):
         proc = self.run("verify", "-n", n)
         assert proc.returncode == 1
         assert proc.stderr.startswith("resource limit:")
+
+    def test_verify_refuses_before_enumerating(self):
+        proc = self.run("verify", "-n", "1500")
+        assert proc.returncode == 1
+        assert proc.stderr == ("resource limit: Dyck enumeration capped at n <= 12;"
+                               " got n = 1500\n")
+
+    def test_long_shuffle_word(self):
+        proc = self.run("qsym-mul", "-n", "2", "--left", "2000", "--right", "1")
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2002 and lines[0] == "1 * F_1,2000"
 
     @pytest.mark.parametrize("argv", [
         # a certificate needs the G element; text-mode reduce drops degree >= n

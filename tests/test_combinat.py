@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from itertools import combinations, product
 
@@ -5,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complement_descent_word, compositions, compositions_of, vectors
+from conftest import (
+    complement_descent_word,
+    compositions,
+    compositions_of,
+    reference_enumerate_dyck,
+    reference_shuffles,
+    reference_vectors_of_degree,
+    vectors,
+)
 from qsymq import combinat
 from qsymq.combinat import (
     ResourceLimitError,
@@ -23,6 +33,7 @@ from qsymq.combinat import (
     shuffles,
     trailing_falls,
     vector_to_dyck_word,
+    vectors_of_degree,
     word_descent_set,
     zero_erasure,
 )
@@ -145,6 +156,42 @@ class TestEnumeration:
             enumerate_dyck(13)
         monkeypatch.setattr(combinat, "ENUMERATION_CAP", 13)
         assert len(enumerate_dyck(13, 0)) == 1
+
+
+class TestFlatEnumerators:
+    """The enumerators loop without recursion, and list exactly what the
+    recursive references in conftest list, in the same order."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_vectors_of_degree(self, n):
+        for d in range(10):
+            assert list(vectors_of_degree(n, d)) == list(reference_vectors_of_degree(n, d))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_enumerate_dyck(self, n):
+        for k in [None, *range(n + 2)]:
+            assert enumerate_dyck(n, k) == reference_enumerate_dyck(n, k)
+
+    def test_shuffles(self):
+        for lu, lv in product(range(7), repeat=2):
+            low = tuple(range(1, lu + 1))
+            high = tuple(range(lu + 1, lu + lv + 1))
+            assert shuffles(low, high) == reference_shuffles(low, high)
+            assert shuffles(high, low) == reference_shuffles(high, low)
+
+    def test_long_vectors(self):
+        vecs = list(vectors_of_degree(3000, 1))
+        assert len(vecs) == 3000
+        assert vecs[0] == (0,) * 2999 + (1,) and vecs[-1] == (1,) + (0,) * 2999
+
+    def test_no_recursion_or_nested_functions(self):
+        for fn in ast.parse(inspect.getsource(combinat)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                assert node is fn or not isinstance(node, (ast.FunctionDef, ast.Lambda)), fn.name
+                assert not (isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == fn.name), fn.name
 
 
 class TestCounting:

@@ -389,6 +389,20 @@ class TestReversal:
             assert basis.normal_form(self.reverse(p)).remainder == want, p
 
 
+class TestProduct:
+    """N is the projection of R along J_n, an ideal, so it is a ring map
+    onto the quotient: N(pq) = N(N(p) N(q))."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_normal_form_respects_products(self, n, rng):
+        basis = GBasis(n)
+        for _ in range(30):
+            p, q = random_polynomial(rng, n, 3, 4), random_polynomial(rng, n, 3, 4)
+            want = basis.normal_form(basis.normal_form(p).remainder
+                                     * basis.normal_form(q).remainder).remainder
+            assert basis.normal_form(p * q).remainder == want, (p, q)
+
+
 @st.composite
 def small_polynomials(draw, past_n=1):
     n = draw(st.integers(1, 5))
@@ -623,6 +637,9 @@ class TestEnumerateTransdiagonal:
 
     def test_one_variable(self):
         assert enumerate_transdiagonal(1, 3) == [(1,), (2,), (3,)]
+
+    def test_long_vectors(self):
+        assert enumerate_transdiagonal(1200, 1) == [(1,) + (0,) * 1199]
 
     def test_counts_complement_dyck(self):
         for n in range(1, 7):
