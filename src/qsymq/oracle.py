@@ -20,6 +20,7 @@ Dyck-vector enumeration, and the closed-form generating function.
 
 import random
 from collections import namedtuple
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
@@ -161,18 +162,12 @@ def _generator_rows(n: int, d: int, index):
                              for exps in supports[alpha]), 1)
 
 
-_slice_cache: dict[tuple, tuple[IntegerRowSpace, dict]] = {}
-
-
+@cache
 def _slice(n: int, d: int) -> tuple[IntegerRowSpace, dict]:
     """The eliminated degree-d slice and its column index {exps: column}."""
-    key = (n, d)
-    if key not in _slice_cache:
-        _check_oracle_caps(n, d)
-        index = {exps: i for i, exps in enumerate(degree_columns(n, d))}
-        space = IntegerRowSpace(len(index)).add_until_full(_generator_rows(n, d, index))
-        _slice_cache[key] = space, index
-    return _slice_cache[key]
+    _check_oracle_caps(n, d)
+    index = {exps: i for i, exps in enumerate(degree_columns(n, d))}
+    return IntegerRowSpace(len(index)).add_until_full(_generator_rows(n, d, index)), index
 
 
 def ideal_degree_rank(n: int, d: int) -> int:

@@ -85,9 +85,6 @@ class Polynomial:
 
     # inspection
 
-    def __bool__(self):
-        return bool(self._terms)
-
     def is_zero(self):
         return not self._terms
 

@@ -31,6 +31,7 @@ returns.
 import heapq
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from operator import neg
 from threading import Lock
 
@@ -237,15 +238,10 @@ def check_chain(eps, n: int) -> list[int]:
     return zeros
 
 
-_shared: dict[int, GBasis] = {}
-
-
+@cache
 def shared_basis(n: int) -> GBasis:
-    """Process-wide G memo for ``n`` variables."""
-    basis = _shared.get(n)
-    if basis is None:
-        basis = _shared[n] = GBasis(n)
-    return basis
+    """Process-wide G memo for ``n`` variables; ``cache_clear()`` frees it."""
+    return GBasis(n)
 
 
 def g_element(eps, n: int | None = None) -> Polynomial:

@@ -129,3 +129,16 @@ def homogeneous_components(p):
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the process-wide G and oracle-slice memos before and after a
+    test that builds under a patched kernel or corrupts a memo."""
+    from qsymq import oracle, quotient
+    memos = (quotient.shared_basis, oracle._slice)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()

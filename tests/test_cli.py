@@ -327,8 +327,8 @@ class TestSubcommands:
         assert code == 0
         assert out.strip() == "0"
 
-    def test_text_reduce_builds_no_g_of_degree_n_or_more(self, capsys, monkeypatch):
-        monkeypatch.setattr(quotient, "_shared", {})
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_text_reduce_builds_no_g_of_degree_n_or_more(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "-n", "9", "--expr",
                                "x1^2*x2^2*x3^2*x4^2*x5^2")
         assert (code, out) == (0, "0\n")
@@ -437,12 +437,9 @@ class TestSubcommands:
         assert code == 3 and "FAILS" in out
 
 
+@pytest.mark.usefixtures("fresh_caches")
 class TestVerifyCanFail:
     """Each check of ``verify`` reports a broken kernel or oracle."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_basis(self, monkeypatch):
-        monkeypatch.setattr(quotient, "_shared", {})
 
     def test_dropped_certificate_entry(self, capsys, monkeypatch):
         exact = quotient.GBasis.normal_form
@@ -471,7 +468,6 @@ class TestVerifyCanFail:
         # the ranks stay right, but the pivots are no longer leading monomials
         columns = oracle.degree_columns
         monkeypatch.setattr(oracle, "degree_columns", lambda n, d: columns(n, d)[::-1])
-        monkeypatch.setattr(oracle, "_slice_cache", {})
         code, out, _ = run_cli(capsys, "verify", "-n", "3", "--json")
         assert code == 3
         checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
@@ -751,3 +747,13 @@ class TestVerifyMemory:
         assert proc.returncode == 0, proc.stderr
         peak_mib = int(proc.stderr.split()[-1]) / 1024
         assert peak_mib < 160, peak_mib
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (parse_polynomial, ("x1", 0), "need n >= 1, got 0"),
+    (cli._vector_arg, ("1,-1", 2), "vector entries must be >= 0, got '1,-1'"),
+], ids=["parse_polynomial", "vector_arg"])
+def test_input_checks(check, args, message):
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    assert str(info.value) == message

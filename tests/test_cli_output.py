@@ -111,6 +111,9 @@ GOLDEN = [
     (["gbasis", "-n", "2", "--vector", "a"], 1,
      "",
      "error: vector must be comma-separated integers, got 'a'\n"),
+    (["gbasis", "-n", "2", "--vector", "-1"], 1,
+     "",
+     "error: vector entries must be >= 0, got '-1'\n"),
     (["gbasis", "-n", "3", "--vector", "99999999"], 1,
      "",
      "resource limit: more than 100000 terms in F_(99999999,) in 3 variables\n"),

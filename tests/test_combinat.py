@@ -28,6 +28,7 @@ from qsymq.combinat import (
     enumerate_dyck,
     factor_count,
     is_dyck,
+    last_nonzero,
     path_statistics,
     refinements,
     shuffles,
@@ -312,8 +313,31 @@ class TestMisc:
         assert zero_erasure((0, 2, 0, 1)) == (2, 1)
         assert zero_erasure((0, 0)) == ()
 
+    def test_last_nonzero(self):
+        assert last_nonzero((0, 2, 0, 1, 0)) == 4
+        assert last_nonzero((0, 0)) == 0
+
     @given(vectors())
     def test_erasure_is_composition(self, nu):
         alpha = zero_erasure(nu)
         assert all(p >= 1 for p in alpha)
         assert sum(alpha) == sum(nu)
+
+
+INPUT_CHECKS = [
+    (composition_from_subset, (set(), -1), "d must be >= 0, got -1"),
+    (vectors_of_degree, (0, 1), "n must be >= 1, got 0"),
+    (enumerate_dyck, (0,), "n must be >= 1, got 0"),
+    (catalan, (-1,), "n must be >= 0, got -1"),
+    (ballot, (0, 0), "need n >= 1 and k >= 0, got n = 0, k = 0"),
+    (dn_k, (3, 0), "need 1 <= k <= n, got n = 3, k = 0"),
+    (path_statistics, (0,), "n must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("check, args, message", INPUT_CHECKS,
+                         ids=[check.__name__ for check, *_ in INPUT_CHECKS])
+def test_input_checks(check, args, message):
+    with pytest.raises(ValueError) as info:
+        list(check(*args))  # a generator checks its input when first drawn
+    assert str(info.value) == message

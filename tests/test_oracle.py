@@ -273,6 +273,20 @@ class TestDegreeSlices:
         with pytest.raises(ResourceLimitError):
             ideal_degree_rank(3, 5)
 
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_slice_memo(self):
+        assert _slice(3, 2) is _slice(3, 2)
+        for _ in range(2):  # a refused slice raises on every call and is not kept
+            with pytest.raises(ResourceLimitError):
+                _slice(9, 1)
+        assert _slice.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("check", [ideal_degree_rank, quotient_dims, _slice])
+    def test_input_checks(self, check):
+        with pytest.raises(ValueError) as info:
+            check(0, 0)
+        assert str(info.value) == "need n >= 1, got 0"
+
     def test_fundamental_generators_span_the_same_slice(self):
         # monomial multiples of F generate the same degree slice as those of M
         for n in range(1, 4):
@@ -380,20 +394,20 @@ class TestLyndonGenerators:
             for row in full_generator_rows(n, d, index):
                 assert space.contains(row), (n, d)
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_dropping_a_lyndon_generator_is_caught(self, monkeypatch):
         lyndon = oracle.slice_generators
         monkeypatch.setattr(oracle, "slice_generators", lambda n, d: [
             (mu, alpha) for mu, alpha in lyndon(n, d) if alpha != (1, 2)])
-        monkeypatch.setattr(oracle, "_slice_cache", {})
         assert quotient_dims(3, 4) != [1, 2, 2, 0, 0]
         assert hilbert_series(4, "oracle") != hilbert_series(4, "formula")
         assert not staircase_holds(4, 3)
 
+    @pytest.mark.usefixtures("fresh_caches")
     def test_dropping_x1_multiples_of_m1_is_caught(self, monkeypatch):
         rows = oracle.slice_generators
         monkeypatch.setattr(oracle, "slice_generators", lambda n, d: [
             (mu, alpha) for mu, alpha in rows(n, d) if not mu[0]])
-        monkeypatch.setattr(oracle, "_slice_cache", {})
         assert quotient_dims(3, 4) != [1, 2, 2, 0, 0]
         assert hilbert_series(4, "oracle") != hilbert_series(4, "formula")
         assert not staircase_holds(4, 2)

@@ -222,3 +222,41 @@ class TestBoundary:
         assert Polynomial(p.n, {e: Fraction(c, scale) for e, c in terms.items()}) == p
         assert gcd(scale, *terms.values()) == 1  # no smaller scale would do
         assert terms == {e: int(c * scale) for e, c in p.items()}
+
+
+INPUT_CHECKS = [
+    (Polynomial, (0,), "need at least one variable, got n = 0"),
+    (Polynomial.variable, (2, 3), "variable index 3 outside [1, 2]"),
+    (Polynomial.variable, (2, 0), "variable index 0 outside [1, 2]"),
+]
+
+
+@pytest.mark.parametrize("check, args, message", INPUT_CHECKS,
+                         ids=["Polynomial", "variable-above", "variable-zero"])
+def test_input_checks(check, args, message):
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    assert str(info.value) == message
+
+
+class TestOtherOperands:
+    """Arithmetic with anything but a polynomial (or, for products, a
+    rational) is refused, and such a value never compares equal."""
+
+    @pytest.mark.parametrize("operation", [
+        lambda p: p + 1, lambda p: p - 1, lambda p: p * "a", lambda p: "a" * p,
+    ], ids=["add", "sub", "mul", "rmul"])
+    def test_refused(self, operation):
+        with pytest.raises(TypeError):
+            operation(Polynomial.variable(2, 1))
+
+    def test_not_equal_to_int(self):
+        assert Polynomial.constant(2, 1) != 1
+        assert not Polynomial.zero(2) == 0
+
+    def test_truth_value_is_nonzero(self):
+        assert not Polynomial.zero(2)
+        assert Polynomial.variable(2, 1)
+
+    def test_repr_of_zero(self):
+        assert repr(Polynomial(2)) == "Polynomial(2, 0)"

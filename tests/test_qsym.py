@@ -247,3 +247,10 @@ class TestFirstVariableSplit:
                         a = shift(fundamental_qsym(alpha[1:], n - 1))
                     b = shift(fundamental_qsym(alpha, n - 1))
                     assert x1 * a + b == fundamental_qsym(alpha, n), (alpha, n)
+
+
+@pytest.mark.parametrize("build", [monomial_qsym, fundamental_qsym])
+def test_input_checks(build):
+    with pytest.raises(ValueError) as info:
+        build((1,), 0)
+    assert str(info.value) == "need n >= 1, got 0"

@@ -363,13 +363,21 @@ class TestRestriction:
         n = p.n - 1
         return Polynomial(n, {e[:n]: c for e, c in p.items() if not e[n]})
 
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_restriction_commutes_with_normal_form(self, n, rng):
+    def check_restriction(self, n, cases, rng, max_degree, max_terms=8):
         small, large = GBasis(n), GBasis(n + 1)
-        for _ in range(30):
-            p = random_polynomial(rng, n + 1, max_degree=n + 1)
+        for _ in range(cases):
+            p = random_polynomial(rng, n + 1, max_degree, max_terms)
             want = self.restrict(large.normal_form(p).remainder)
             assert small.normal_form(self.restrict(p)).remainder == want, p
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_restriction_commutes_with_normal_form(self, n, rng):
+        self.check_restriction(n, 15 if n == 7 else 30, rng, n + 1)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_restriction_past_the_oracle(self, n, rng):
+        # sparse inputs of low degree keep each G chain short at these widths
+        self.check_restriction(n, 20, rng, 5, 3)
 
 
 class TestReversal:
@@ -393,14 +401,23 @@ class TestProduct:
     """N is the projection of R along J_n, an ideal, so it is a ring map
     onto the quotient: N(pq) = N(N(p) N(q))."""
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_normal_form_respects_products(self, n, rng):
+    @staticmethod
+    def check_products(n, cases, rng, max_degree, max_terms):
         basis = GBasis(n)
-        for _ in range(30):
-            p, q = random_polynomial(rng, n, 3, 4), random_polynomial(rng, n, 3, 4)
+        for _ in range(cases):
+            p = random_polynomial(rng, n, max_degree, max_terms)
+            q = random_polynomial(rng, n, max_degree, max_terms)
             want = basis.normal_form(basis.normal_form(p).remainder
                                      * basis.normal_form(q).remainder).remainder
             assert basis.normal_form(p * q).remainder == want, (p, q)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_normal_form_respects_products(self, n, rng):
+        self.check_products(n, 30, rng, 3, 4)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_products_past_the_oracle(self, n, rng):
+        self.check_products(n, 20, rng, 2, 2)
 
 
 @st.composite
@@ -646,3 +663,28 @@ class TestEnumerateTransdiagonal:
             for d in range(1, n + 2):
                 count = sum(1 for v in enumerate_transdiagonal(n, d) if sum(v) == d)
                 assert count == comb(n + d - 1, d) - ballot(n, d)
+
+
+class TestSharedBasis:
+    @pytest.mark.usefixtures("fresh_caches")
+    def test_one_basis_per_width(self):
+        assert shared_basis(4) is shared_basis(4) is not shared_basis(5)
+        with pytest.raises(ValueError):
+            shared_basis(0)  # refused, so not kept
+        assert shared_basis.cache_info().currsize == 2
+
+
+INPUT_CHECKS = [
+    (GBasis, (0,), "need n >= 1, got 0"),
+    (GBasis(2).normal_form, (Polynomial(3),), "polynomial in 3 variables, basis has 2"),
+    (enumerate_transdiagonal, (0, 1), "need n >= 1 and dmax >= 0, got n = 0, dmax = 1"),
+    (enumerate_transdiagonal, (2, -1), "need n >= 1 and dmax >= 0, got n = 2, dmax = -1"),
+]
+
+
+@pytest.mark.parametrize("check, args, message", INPUT_CHECKS,
+                         ids=["GBasis", "normal_form", "transdiagonal-n", "transdiagonal-dmax"])
+def test_input_checks(check, args, message):
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    assert str(info.value) == message

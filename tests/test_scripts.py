@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,20 @@ def test_script_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# each fenced ```python block of the README, so a renamed or removed public
+# name breaks a test rather than the documentation
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
