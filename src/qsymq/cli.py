@@ -197,7 +197,10 @@ def _polynomial_record(name, p, **extra):
 
 
 def polynomial_from_record(record) -> Polynomial:
-    """Rebuild a polynomial from the JSON schema above."""
+    """Rebuild a polynomial from the JSON schema above.  It belongs to the
+    package, not to the tests: the bench (``perfbench/run.py``) reads the
+    remainder of each ``reduce --json`` record back through it to check the
+    answer."""
     return Polynomial(record["n"],
                       {tuple(t["exps"]): Fraction(t["coeff"]) for t in record["terms"]})
 

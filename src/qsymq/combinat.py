@@ -29,9 +29,9 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request exceeds the desk-scale caps."""
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
+def _check_cap(n: int, cap: int, what: str, name: str = "n") -> None:
     if n > cap:
-        raise ResourceLimitError(f"{what} capped at n <= {cap}; got n = {n}")
+        raise ResourceLimitError(f"{what} capped at {name} <= {cap}; got {name} = {n}")
 
 
 def check_size(count: int, what: str, *args) -> None:

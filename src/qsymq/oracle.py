@@ -330,7 +330,8 @@ def generating_function_check(order: int, as_printed: bool = False) -> bool:
     """
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
-    combinat._check_cap(order, combinat.ENUMERATION_CAP, "generating-function check")
+    combinat._check_cap(order, combinat.ENUMERATION_CAP, "generating-function check",
+                        name="order")
     t = Polynomial.variable(2, 1)
     x = Polynomial.variable(2, 2)
     one = Polynomial.constant(2, 1)

@@ -134,7 +134,8 @@ def rng():
 @pytest.fixture
 def fresh_caches():
     """Empty the process-wide G and oracle-slice memos before and after a
-    test that builds under a patched kernel or corrupts a memo."""
+    test that builds under a patched kernel, corrupts a memo or must run as
+    a fresh process would (each golden CLI row)."""
     from qsymq import oracle, quotient
     memos = (quotient.shared_basis, oracle._slice)
     for memo in memos:

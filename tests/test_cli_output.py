@@ -1,13 +1,15 @@
 """The CLI's one output path, pinned byte for byte.
 
 ``GOLDEN`` holds ``(argv, exit code, stdout, stderr)`` for requests to every
-subcommand, captured from ``python -m qsymq``.  stderr is pinned only for
+subcommand, captured from ``python -m qsymq``; each row runs with the
+process-wide memos empty, as in a fresh process.  stderr is pinned only for
 qsymq's own ``error:``, ``resource limit:`` and ``parse error:`` lines (and
 must be empty on success); for argparse usage errors, whose text varies
 between Python versions, only the exit code is checked and both streams are
 ``None``.
 """
 
+import argparse
 import ast
 import shlex
 import sys
@@ -22,7 +24,11 @@ GOLDEN = [
     (["hilbert", "-n", "6"], 0, "1 5 14 28 42 42\n", ""),
     (["hilbert", "-n", "1"], 0, "1\n", ""),
     (["hilbert", "-n", "4", "--method", "enum"], 0, "1 3 5 5\n", ""),
+    (["hilbert", "-n", "4", "--method", "enum", "--json"], 0,
+     '{"n": 4, "operation": "hilbert", "method": "enum", "series": [1, 3, 5, 5]}\n',
+     ""),
     (["hilbert", "-n", "5", "--method", "oracle"], 0, "1 4 9 14 14\n", ""),
+    (["hilbert", "-n", "8", "--method", "oracle"], 0, "1 7 27 75 165 297 429 429\n", ""),
     (["hilbert", "-n", "3", "--method", "oracle", "--report"], 0,
      ("1 2 2\n"
       "degree 0 slice in 3 variables:\n"
@@ -173,6 +179,9 @@ GOLDEN = [
       "1 * F_2\n"
       "product: x1^2 + 2*x1*x2 + x2^2\n"),
      ""),
+    (["qsym-mul", "-n", "2", "--left", "1", "--right", "1", "--json"], 0,
+     '{"n": 2, "operation": "qsym-mul", "terms": [{"coeff": "1", "exps": [2, 0]}, {"coeff": "2", "exps": [1, 1]}, {"coeff": "1", "exps": [0, 2]}], "compositions": [{"parts": [1, 1], "multiplicity": 1}, {"parts": [2], "multiplicity": 1}]}\n',
+     ""),
     (["qsym-mul", "-n", "3", "--left", "", "--right", "2"], 0,
      ("1 * F_2\n"
       "product: x1^2 + x1*x2 + x1*x3 + x2^2 + x2*x3 + x3^2\n"),
@@ -198,6 +207,50 @@ GOLDEN = [
       "ok   degree-n-vanishing\n"
       "all checks passed\n"),
      ""),
+    (["verify", "-n", "5"], 0,
+     ("ok   hilbert-formula-vs-enum-n1\n"
+      "ok   hilbert-formula-vs-enum-n2\n"
+      "ok   hilbert-formula-vs-enum-n3\n"
+      "ok   hilbert-formula-vs-enum-n4\n"
+      "ok   hilbert-formula-vs-enum-n5\n"
+      "ok   hilbert-vs-oracle-n1\n"
+      "ok   staircase-n1\n"
+      "ok   hilbert-vs-oracle-n2\n"
+      "ok   staircase-n2\n"
+      "ok   hilbert-vs-oracle-n3\n"
+      "ok   staircase-n3\n"
+      "ok   hilbert-vs-oracle-n4\n"
+      "ok   staircase-n4\n"
+      "ok   hilbert-vs-oracle-n5\n"
+      "ok   staircase-n5\n"
+      "ok   leading-monomials\n"
+      "ok   certificates\n"
+      "ok   degree-n-vanishing\n"
+      "all checks passed\n"),
+     ""),
+    (["verify", "-n", "6"], 0,
+     ("ok   hilbert-formula-vs-enum-n1\n"
+      "ok   hilbert-formula-vs-enum-n2\n"
+      "ok   hilbert-formula-vs-enum-n3\n"
+      "ok   hilbert-formula-vs-enum-n4\n"
+      "ok   hilbert-formula-vs-enum-n5\n"
+      "ok   hilbert-formula-vs-enum-n6\n"
+      "ok   hilbert-vs-oracle-n1\n"
+      "ok   staircase-n1\n"
+      "ok   hilbert-vs-oracle-n2\n"
+      "ok   staircase-n2\n"
+      "ok   hilbert-vs-oracle-n3\n"
+      "ok   staircase-n3\n"
+      "ok   hilbert-vs-oracle-n4\n"
+      "ok   staircase-n4\n"
+      "ok   hilbert-vs-oracle-n5\n"
+      "ok   staircase-n5\n"
+      "ok   hilbert-vs-oracle-n6\n"
+      "ok   staircase-n6\n"
+      "ok   leading-monomials\n"
+      "ok   certificates\n"
+      "all checks passed\n"),
+     ""),
     (["verify", "-n", "2", "--json"], 0,
      '{"n": 2, "operation": "verify", "checks": [{"name": "hilbert-formula-vs-enum-n1", "ok": true, "detail": "1 vs 1"}, {"name": "hilbert-formula-vs-enum-n2", "ok": true, "detail": "1 1 vs 1 1"}, {"name": "hilbert-vs-oracle-n1", "ok": true, "detail": "1 vs 1"}, {"name": "staircase-n1", "ok": true, "detail": "degrees: []"}, {"name": "hilbert-vs-oracle-n2", "ok": true, "detail": "1 1 vs 1 1"}, {"name": "staircase-n2", "ok": true, "detail": "degrees: []"}, {"name": "leading-monomials", "ok": true, "detail": "failures: []"}, {"name": "certificates", "ok": true, "detail": ""}, {"name": "degree-n-vanishing", "ok": true, "detail": "failures: []"}], "ok": true}\n',
      ""),
@@ -213,6 +266,9 @@ GOLDEN = [
      '{"operation": "gf-check", "order": 3, "form": "corrected (-2x)", "holds": true}\n',
      ""),
     (["gf-check", "--order", "0"], 1, "", "error: need order >= 1, got 0\n"),
+    (["gf-check", "--order", "13"], 1,
+     "",
+     "resource limit: generating-function check capped at order <= 12; got order = 13\n"),
     ([], 1, None, None),
     (["--help"], 0, None, None),
     (["hilbert"], 1, None, None),
@@ -223,6 +279,7 @@ GOLDEN = [
 ]
 
 
+@pytest.mark.usefixtures("fresh_caches")
 @pytest.mark.parametrize("argv,code,out,err", GOLDEN,
                          ids=[shlex.join(argv) or "no-arguments" for argv, *_ in GOLDEN])
 def test_golden(capsys, argv, code, out, err):
@@ -231,6 +288,16 @@ def test_golden(capsys, argv, code, out, err):
     assert "Traceback" not in captured.err
     if out is not None:
         assert (captured.out, captured.err) == (out, err)
+
+
+def test_golden_reach():
+    """Every subcommand has a row with and without ``--json``, and every exit
+    code of the contract appears, so retiring a row cannot drop a contract."""
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    rows = {(argv[0], "--json" in argv) for argv, *_ in GOLDEN if argv}
+    assert {(name, json) for name in subcommands for json in (False, True)} <= rows
+    assert {code for _, code, *_ in GOLDEN} == {0, 1, 2, 3}
 
 
 # N + N has one digit more than N, so these parse but fail when rendered

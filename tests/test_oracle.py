@@ -511,5 +511,5 @@ class TestGeneratingFunction:
         assert not generating_function_check(2, as_printed=True)
 
     def test_order_cap(self):
-        with pytest.raises(ResourceLimitError, match="capped at n <= 12"):
+        with pytest.raises(ResourceLimitError, match="capped at order <= 12; got order = 13"):
             generating_function_check(13)

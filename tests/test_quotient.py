@@ -1,3 +1,4 @@
+import functools
 import heapq
 import sys
 import threading
@@ -277,13 +278,9 @@ class ReferenceGBasis:
         return ReductionResult(Polynomial._trusted(self.n, remainder), certificate)
 
 
-REFERENCE_BASES = {}
-
-
+@functools.cache
 def reference_basis(n):
-    if n not in REFERENCE_BASES:
-        REFERENCE_BASES[n] = ReferenceGBasis(n)
-    return REFERENCE_BASES[n]
+    return ReferenceGBasis(n)
 
 
 def assert_same_reduction(result, expected):
@@ -353,6 +350,17 @@ class TestConcurrentReaders:
         assert all(shared._vecs[i] == v for v, i in shared._ids.items())
 
 
+def transdiagonal_polynomial(rng, n, max_degree):
+    """2 or 3 random transdiagonal monomials of degree at most ``max_degree``
+    with nonzero integer coefficients: an input that G must reduce."""
+    size, terms = rng.randint(2, 3), {}
+    while len(terms) < size:
+        exps = random_vector(rng, n, rng.randint(1, max_degree))
+        if not is_dyck(exps):
+            terms[exps] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Polynomial(n, terms)
+
+
 class TestRestriction:
     """Setting x_(n+1) = 0 maps J_(n+1) onto J_n and the Dyck vectors of
     length n + 1 that end in 0 onto those of length n, so
@@ -363,21 +371,23 @@ class TestRestriction:
         n = p.n - 1
         return Polynomial(n, {e[:n]: c for e, c in p.items() if not e[n]})
 
-    def check_restriction(self, n, cases, rng, max_degree, max_terms=8):
+    def check_restriction(self, n, inputs):
         small, large = GBasis(n), GBasis(n + 1)
-        for _ in range(cases):
-            p = random_polynomial(rng, n + 1, max_degree, max_terms)
+        for p in inputs:
             want = self.restrict(large.normal_form(p).remainder)
             assert small.normal_form(self.restrict(p)).remainder == want, p
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_restriction_commutes_with_normal_form(self, n, rng):
-        self.check_restriction(n, 15 if n == 7 else 30, rng, n + 1)
+        self.check_restriction(n, [random_polynomial(rng, n + 1, n + 1, 8)
+                                   for _ in range(15 if n == 7 else 30)])
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_restriction_past_the_oracle(self, n, rng):
-        # sparse inputs of low degree keep each G chain short at these widths
-        self.check_restriction(n, 20, rng, 5, 3)
+        # sparse inputs of low degree keep each G chain short at these widths;
+        # random ones mostly land on Dyck monomials, transdiagonal ones reduce
+        self.check_restriction(n, [random_polynomial(rng, n + 1, 5, 3) for _ in range(20)]
+                               + [transdiagonal_polynomial(rng, n + 1, 5) for _ in range(20)])
 
 
 class TestReversal:
@@ -402,22 +412,24 @@ class TestProduct:
     onto the quotient: N(pq) = N(N(p) N(q))."""
 
     @staticmethod
-    def check_products(n, cases, rng, max_degree, max_terms):
+    def check_products(n, pairs):
         basis = GBasis(n)
-        for _ in range(cases):
-            p = random_polynomial(rng, n, max_degree, max_terms)
-            q = random_polynomial(rng, n, max_degree, max_terms)
+        for p, q in pairs:
             want = basis.normal_form(basis.normal_form(p).remainder
                                      * basis.normal_form(q).remainder).remainder
             assert basis.normal_form(p * q).remainder == want, (p, q)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_normal_form_respects_products(self, n, rng):
-        self.check_products(n, 30, rng, 3, 4)
+        self.check_products(n, [(random_polynomial(rng, n, 3, 4), random_polynomial(rng, n, 3, 4))
+                                for _ in range(30)])
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_products_past_the_oracle(self, n, rng):
-        self.check_products(n, 20, rng, 2, 2)
+        self.check_products(n, [(random_polynomial(rng, n, 2, 2), random_polynomial(rng, n, 2, 2))
+                                for _ in range(20)]
+                            + [(transdiagonal_polynomial(rng, n, 3),
+                                transdiagonal_polynomial(rng, n, 2)) for _ in range(20)])
 
 
 @st.composite
