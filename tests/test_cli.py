@@ -255,6 +255,64 @@ def run_cli(capsys, *argv):
 
 
 class TestSubcommands:
+    def test_hilbert_text(self, capsys):
+        code, out, _ = run_cli(capsys, "hilbert", "-n", "6")
+        assert code == 0
+        assert out.strip() == "1 5 14 28 42 42"
+
+    def test_hilbert_oracle_report(self, capsys):
+        code, out, _ = run_cli(capsys, "hilbert", "-n", "3",
+                               "--method", "oracle", "--report")
+        assert code == 0
+        assert out.splitlines()[0] == "1 2 2"
+        assert "quotient dimension" in out
+
+    def test_hilbert_oracle_report_json(self, capsys):
+        code, out, _ = run_cli(capsys, "hilbert", "-n", "3", "--method", "oracle",
+                               "--report", "--json")
+        record = json.loads(out)
+        assert code == 0
+        assert record["series"] == [1, 2, 2]
+        assert record["report"] == [
+            {"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1},
+            {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2},
+            # the rows x_i * M_1 and M_2; (1, 1) is not Lyndon, so M_11 is no row
+            {"degree": 2, "columns": 6, "generator_rows": 4, "rank": 4, "dimension": 2},
+        ]
+
+    def test_basis_listing(self, capsys):
+        code, out, _ = run_cli(capsys, "basis", "-n", "2")
+        assert code == 0
+        assert out.splitlines() == ["0,0", "0,1"]
+
+    def test_basis_paths_and_filter(self, capsys):
+        code, out, _ = run_cli(capsys, "basis", "-n", "3", "-k", "2", "--paths")
+        assert code == 0
+        assert out.splitlines()[0] in {"0,0,2", "0,1,1"}
+        assert "|" in out
+
+    def test_gbasis_expansion(self, capsys):
+        code, out, _ = run_cli(capsys, "gbasis", "-n", "4", "--vector", "1,0,2")
+        assert code == 0
+        first = out.splitlines()[0]
+        assert first == ("x1*x3^2 + x1*x3*x4 + x1*x4^2 - x2^2*x3 - x2^2*x4 "
+                         "+ x2*x3^2 + x2*x4^2 + x3*x4^2")
+        assert "leading monomial: x1*x3^2" in out
+
+    def test_gbasis_rejects_dyck_vector(self, capsys):
+        code, _, err = run_cli(capsys, "gbasis", "-n", "2", "--vector", "0,1")
+        assert code == 1
+        assert "Dyck" in err
+
+    def test_reduce_with_certificate(self, capsys):
+        code, out, _ = run_cli(capsys, "reduce", "-n", "2", "--expr", "x1",
+                               "--certificate")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "-x2"
+        assert lines[1] == "certificate:"
+        assert lines[2].strip() == "1 * G_1,0"
+
     def test_reduce_from_file(self, tmp_path, capsys):
         source = tmp_path / "input.txt"
         source.write_text("x2^2\n")
@@ -301,6 +359,18 @@ class TestSubcommands:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("resource limit:")
+
+    def test_verify_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-n", "3")
+        assert code == 0
+        assert "all checks passed" in out
+
+    def test_verify_json(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-n", "2", "--json")
+        record = json.loads(out)
+        assert code == 0
+        assert record["ok"] is True
+        assert all(check["ok"] for check in record["checks"])
 
     @pytest.mark.parametrize("argv", [
         ["qsym", "-n", "3", "--fundamental", "2,1", "--json"],
@@ -356,6 +426,31 @@ class TestVerifyCanFail:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,expected", [
+        (["hilbert", "-n", "6"], 0),
+        (["hilbert"], 1),                                   # missing -n
+        (["no-such-command"], 1),                           # unknown subcommand
+        ([], 1),                                            # no subcommand
+        (["gbasis", "-n", "2"], 1),                         # missing --vector
+        (["gbasis", "-n", "2", "--vector", "0,1,0"], 1),    # vector longer than n
+        (["hilbert", "-n", "40"], 1),                       # resource cap
+        (["hilbert", "-n", "9", "--method", "oracle"], 1),  # oracle cap
+        (["reduce", "-n", "2", "--expr", "x1 +"], 2),       # syntax error
+        (["reduce", "-n", "2", "--expr", "x5"], 2),         # variable out of range
+        (["member", "-n", "2", "--expr", "x1"], 3),         # not in the ideal
+        (["member", "-n", "2", "--expr", "x1 + x2"], 0),
+        (["gf-check", "--order", "2", "--as-printed"], 3),
+        (["--help"], 0),
+    ])
+    def test_contract(self, capsys, argv, expected):
+        assert main(argv) == expected
+
+    def test_negative_max_degree(self, capsys):
+        assert main(["verify", "-n", "3", "--max-degree", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_degree" in err
+        assert "randrange" not in err
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python has no int-string limit")
     @pytest.mark.parametrize("limit", [640, 10_000])
@@ -376,6 +471,10 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("parse error:")
         assert err.endswith(f"(at position {position})\n")
+
+    def test_reduce_missing_file(self, capsys):
+        code = main(["reduce", "-n", "2", "--file", "/no/such/file"])
+        assert code == 1
 
 
 class TestStartup:
