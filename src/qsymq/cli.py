@@ -30,13 +30,10 @@ Exit codes: 0 success, 1 usage error, 2 expression parse error,
 """
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
 
 from .combinat import ResourceLimitError, check_vector, enumerate_dyck
-from .poly import Polynomial
 
 
 class ParseError(ValueError):
@@ -72,12 +69,15 @@ def _tokenize(text):
     return tokens
 
 
-def parse_polynomial(text: str, n: int) -> Polynomial:
+def parse_polynomial(text: str, n: int) -> "Polynomial":
     """Parse an expression in the grammar above into an exact polynomial.
 
     Each pass reads one item: a sign before the first term, a coefficient,
     a '*', a factor, or the sign or end of input that closes a term.
     """
+    from fractions import Fraction
+
+    from .poly import Polynomial
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     tokens = _tokenize(text)
@@ -136,7 +136,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 # rendering
 
 
-def render_polynomial(p: Polynomial) -> str:
+def render_polynomial(p: "Polynomial") -> str:
     """Canonical text form: terms in descending graded lex; parses back to p."""
     if p.is_zero():
         return "0"
@@ -196,11 +196,14 @@ def _polynomial_record(name, p, **extra):
     return record
 
 
-def polynomial_from_record(record) -> Polynomial:
+def polynomial_from_record(record) -> "Polynomial":
     """Rebuild a polynomial from the JSON schema above.  It belongs to the
     package, not to the tests: the bench (``perfbench/run.py``) reads the
     remainder of each ``reduce --json`` record back through it to check the
     answer."""
+    from fractions import Fraction
+
+    from .poly import Polynomial
     return Polynomial(record["n"],
                       {tuple(t["exps"]): Fraction(t["coeff"]) for t in record["terms"]})
 
@@ -244,7 +247,8 @@ def _expression(args):
 # ---------------------------------------------------------------------------
 # subcommands: each computes everything, then returns (exit code, record,
 # text), where text() yields the output lines and only renders; main prints.
-# Each imports the modules it calls, so a process loads only what it runs.
+# Each imports the modules it calls, so a process loads only what it runs;
+# ``Fraction``, ``Polynomial`` and ``json`` load only where they are used.
 
 
 def cmd_hilbert(args):
@@ -284,6 +288,7 @@ def cmd_basis(args):
 
 def cmd_gbasis(args):
     from . import quotient
+    from .poly import Polynomial
     eps = _vector_arg(args.vector, args.n)
     poly = quotient.g_element(eps, args.n)
     exps, coeff = poly.leading_monomial()
@@ -455,7 +460,11 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:  # render inside the try too: str() of a huge int raises ValueError
         code, record, text = args.handler(args)
-        lines = [json.dumps(record)] if args.json else list(text())
+        if args.json:
+            import json
+            lines = [json.dumps(record)]
+        else:
+            lines = list(text())
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -11,23 +11,23 @@ Only the rows X^mu * M_(1) and, for L != (1), the x1-free rows (mu_1 = 0)
 are eliminated.  They still span: x1 = M_(1) - (x2 + ... + xn) writes a row
 with mu_1 > 0 as multiples of M_(1) plus rows with a smaller mu_1; induct.
 
-No G element is used.  The slice's rank over Q, computed by fraction-free
-integer elimination on sparse rows ``{column: nonzero int}``, gives the
-quotient dimension as (#monomials of degree d) - rank; a row X^mu * M_L has
-only C(n, len(L)) nonzeros.  Cross-checks: the ballot-number formula, direct
+No G element is used, and the supports of the M_L are listed here, so the
+oracle shares only ``combinat`` with the G construction.  The slice's rank
+over Q, computed by fraction-free integer elimination on sparse rows
+``{column: nonzero int}``, gives the quotient dimension as (#monomials of
+degree d) - rank; a row X^mu * M_L has only C(n, len(L)) nonzeros.  Cross-checks: the ballot-number formula, direct
 Dyck-vector enumeration, and the closed-form generating function.
 """
 
-import random
 from collections import namedtuple
 from functools import cache
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import comb, gcd
+from operator import mul
 
 from . import combinat
 from .combinat import ResourceLimitError, ballot, is_dyck, refinements, vectors_of_degree
-from .poly import Polynomial, graded_lex_key, random_polynomial
-from .qsym import monomial_qsym
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +76,17 @@ class IntegerRowSpace:
             if lead != 1:
                 for col in row:
                     row[col] *= lead
-            for col, b in prow.items():
-                y = row.pop(col, 0)
-                if not y:  # fill-in, right of pcol
+            for col, b in prow.items():  # row -= x * prow, in place
+                y = row.get(col)
+                if y is None:  # fill-in, right of pcol
+                    row[col] = -x * b
                     heappush(todo, col)
-                y -= x * b
-                if y:
-                    row[col] = y
+                else:
+                    y -= x * b
+                    if y:
+                        row[col] = y
+                    else:
+                        del row[col]
             if lead != 1:  # bound the growth the scaling brought in
                 g = gcd(*row.values())
                 if g > 1:
@@ -154,12 +158,18 @@ def slice_generators(n: int, d: int):
 
 
 def _generator_rows(n: int, d: int, index):
-    supports = {}  # alpha -> the support of M_alpha (all coefficients 1), once per slice
+    """The rows X^mu * M_alpha of ``slice_generators``, all coefficients 1.
+    An exponent vector of degree <= d is coded by its entries as base-(d+1)
+    digits, so the code of a product of monomials is the sum of their codes."""
+    weights = [(d + 1) ** (n - 1 - i) for i in range(n)]
+    column = {sum(map(mul, exps, weights)): col for exps, col in index.items()}
+    supports = {}  # alpha -> the codes of the support of M_alpha, once per slice
     for mu, alpha in slice_generators(n, d):
         if alpha not in supports:
-            supports[alpha] = list(monomial_qsym(alpha, n).support())
-        yield dict.fromkeys((index[tuple(a + b for a, b in zip(mu, exps))]
-                             for exps in supports[alpha]), 1)
+            supports[alpha] = [sum(map(mul, alpha, place))
+                               for place in combinations(weights, len(alpha))]
+        shift = sum(map(mul, mu, weights))
+        yield dict.fromkeys((column[shift + code] for code in supports[alpha]), 1)
 
 
 @cache
@@ -181,7 +191,7 @@ def quotient_dims(n: int, dmax: int) -> list[int]:
     return [comb(n + d - 1, d) - ideal_degree_rank(n, d) for d in range(dmax + 1)]
 
 
-def row_space_member(p: Polynomial) -> bool:
+def row_space_member(p: "Polynomial") -> bool:
     """True iff a homogeneous polynomial lies in the degree slice of the ideal."""
     if p.is_zero():
         return True
@@ -245,7 +255,10 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
     for n <= 5, every degree-n monomial reducing to 0.  n is checked against
     ENUMERATION_CAP first, then the G chains are counted.
     """
+    import random
+
     from . import quotient  # verify is its only user here
+    from .poly import Polynomial, graded_lex_key, random_polynomial
     basis = quotient.shared_basis(n)  # refuses n < 1; builds no G yet
     max_degree = n if max_degree is None else max_degree
     if max_degree < 0:
@@ -314,7 +327,8 @@ def verify(n: int, max_degree: int | None = None) -> list[dict]:
 # generating function for the Hilbert rows
 
 
-def _truncate_x(p: Polynomial, order: int) -> Polynomial:
+def _truncate_x(p: "Polynomial", order: int) -> "Polynomial":
+    from .poly import Polynomial
     return Polynomial(2, {e: c for e, c in p.items() if e[1] <= order})
 
 
@@ -332,6 +346,7 @@ def generating_function_check(order: int, as_printed: bool = False) -> bool:
         raise ValueError(f"need order >= 1, got {order}")
     combinat._check_cap(order, combinat.ENUMERATION_CAP, "generating-function check",
                         name="order")
+    from .poly import Polynomial
     t = Polynomial.variable(2, 1)
     x = Polynomial.variable(2, 2)
     one = Polynomial.constant(2, 1)

@@ -255,31 +255,6 @@ def run_cli(capsys, *argv):
 
 
 class TestSubcommands:
-    def test_hilbert_text(self, capsys):
-        code, out, _ = run_cli(capsys, "hilbert", "-n", "6")
-        assert code == 0
-        assert out.strip() == "1 5 14 28 42 42"
-
-    def test_hilbert_oracle_report(self, capsys):
-        code, out, _ = run_cli(capsys, "hilbert", "-n", "3",
-                               "--method", "oracle", "--report")
-        assert code == 0
-        assert out.splitlines()[0] == "1 2 2"
-        assert "quotient dimension" in out
-
-    def test_hilbert_oracle_report_json(self, capsys):
-        code, out, _ = run_cli(capsys, "hilbert", "-n", "3", "--method", "oracle",
-                               "--report", "--json")
-        record = json.loads(out)
-        assert code == 0
-        assert record["series"] == [1, 2, 2]
-        assert record["report"] == [
-            {"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1},
-            {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2},
-            # the rows x_i * M_1 and M_2; (1, 1) is not Lyndon, so M_11 is no row
-            {"degree": 2, "columns": 6, "generator_rows": 4, "rank": 4, "dimension": 2},
-        ]
-
     def test_basis_listing(self, capsys):
         code, out, _ = run_cli(capsys, "basis", "-n", "2")
         assert code == 0
@@ -509,7 +484,7 @@ class TestStartup:
 
     QUOTIENT = {"cli", "combinat", "poly", "qsym", "quotient"}
     QSYM = {"cli", "combinat", "poly", "qsym"}
-    ORACLE = {"cli", "combinat", "poly", "qsym", "oracle"}
+    ORACLE = {"cli", "combinat", "oracle"}  # the oracle shares only combinat with G
 
     SUBCOMMANDS = [
         (["reduce", "-n", "4", "--expr", "x1^2*x4"], QUOTIENT),
@@ -517,10 +492,10 @@ class TestStartup:
         (["gbasis", "-n", "3", "--vector", "1,0,1"], QUOTIENT),
         (["qsym", "-n", "3", "--fundamental", "2,1"], QSYM),
         (["qsym-mul", "-n", "2", "--left", "1", "--right", "1"], QSYM),
-        (["basis", "-n", "3"], {"cli", "combinat", "poly"}),
+        (["basis", "-n", "3"], {"cli", "combinat"}),
         (["hilbert", "-n", "1"], ORACLE),
         (["hilbert", "-n", "3", "--method", "oracle"], ORACLE),
-        (["gf-check", "--order", "3"], ORACLE),
+        (["gf-check", "--order", "3"], ORACLE | {"poly"}),
         (["verify", "-n", "2"], QUOTIENT | ORACLE),
     ]
 
@@ -531,6 +506,21 @@ class TestStartup:
                             f"code = main({argv!r}); print(code, *(m for m in sys.modules "
                             "if m.startswith('qsymq.')))")
         assert loaded == {"0"} | {f"qsymq.{m}" for m in modules}  # exit code 0
+
+    EXACT = ["decimal", "fractions", "json"]  # json only under --json
+    STDLIB = [
+        (["hilbert", "-n", "1"], set()),
+        (["basis", "-n", "3"], set()),
+        (["hilbert", "-n", "3", "--method", "oracle", "--json"], {"json"}),
+    ]
+
+    @pytest.mark.parametrize("argv, wanted", STDLIB,
+                             ids=[" ".join(argv) for argv, _ in STDLIB])
+    def test_stdlib_loaded_only_where_used(self, argv, wanted):
+        loaded = self.fresh("import sys; from qsymq.cli import main; "
+                            f"code = main({argv!r}); print(code, *(m for m in sys.modules "
+                            f"if m in {self.EXACT!r}))")
+        assert loaded == {"0"} | wanted  # exit code 0
 
 
 class TestPackage:

@@ -47,6 +47,7 @@ GOLDEN = [
       "  rank:                4\n"
       "  quotient dimension:  2\n"),
      ""),
+    # the degree-2 rows are x_i * M_1 and M_2; (1, 1) is not Lyndon, so M_11 is no row
     (["hilbert", "-n", "3", "--method", "oracle", "--report", "--json"], 0,
      '{"n": 3, "operation": "hilbert", "method": "oracle", "series": [1, 2, 2], "report": [{"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1}, {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2}, {"degree": 2, "columns": 6, "generator_rows": 4, "rank": 4, "dimension": 2}]}\n',
      ""),

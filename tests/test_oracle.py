@@ -122,6 +122,55 @@ class ReferenceRowSpace:
             self.pivots[col] = row
 
 
+class PreviousRowSpace:
+    """The kernel before ``reduce`` subtracted pivot rows in place, kept as a
+    reference: it pops every column of the pivot row out of the working row
+    and re-inserts what is left.  Same arithmetic, so same stored rows."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = {col: x for col, x in row.items() if x}
+        pivots = self.pivots
+        todo = list(row)
+        heapify(todo)
+        while todo:
+            pcol = heappop(todo)
+            x = row.get(pcol)
+            if x is None:
+                continue
+            prow = pivots.get(pcol)
+            if prow is None:
+                break
+            lead = prow[pcol]
+            if lead != 1:
+                for col in row:
+                    row[col] *= lead
+            for col, b in prow.items():
+                y = row.pop(col, 0)
+                if not y:
+                    heappush(todo, col)
+                y -= x * b
+                if y:
+                    row[col] = y
+            if lead != 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {col: y // g for col, y in row.items()}
+        return row
+
+    def add(self, row):
+        row = self.reduce(row)
+        if row:
+            col = min(row)
+            g = gcd(*row.values())
+            if row[col] < 0:
+                g = -g
+            self.pivots[col] = {c: x // g for c, x in row.items()}
+
+
 def same_row_space(space, reference) -> bool:
     """An ``IntegerRowSpace`` and a ``ReferenceRowSpace`` have the same rank
     and pivot columns, and each contains the other's rows."""
@@ -305,12 +354,26 @@ class TestDegreeSlices:
                 assert space.rank == ideal_degree_rank(n, d), (n, d)
 
     def test_generator_rows_match_products(self):
-        for n in range(1, 6):
-            for d in range(n + 1):
-                index = {e: i for i, e in enumerate(degree_columns(n, d))}
-                expected = [generator_row(n, index, mu, alpha)
-                            for mu, alpha in slice_generators(n, d)]
-                assert list(_generator_rows(n, d, index)) == expected, (n, d)
+        # the oracle codes M_alpha's support itself; the products use qsym's
+        slices = [(n, d) for n in range(1, 6) for d in range(n + 1)]
+        for n, d in slices + [(6, d) for d in range(8)] + [(7, 6)]:
+            index = {e: i for i, e in enumerate(degree_columns(n, d))}
+            expected = [generator_row(n, index, mu, alpha)
+                        for mu, alpha in slice_generators(n, d)]
+            assert list(_generator_rows(n, d, index)) == expected, (n, d)
+
+    @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)]
+                             + [(7, 6), pytest.param(8, 7, marks=pytest.mark.slow)])
+    def test_pivots_match_previous_kernel(self, n, dmax):
+        # the in-place subtraction keeps every stored row, not just the span
+        for d in range(dmax + 1):
+            space, index = _slice(n, d)
+            previous = PreviousRowSpace(len(index))
+            for row in _generator_rows(n, d, index):
+                if len(previous.pivots) == len(index):
+                    break
+                previous.add(row)
+            assert space.pivots == previous.pivots, (n, d)
 
     @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)] + [(7, 6)])
     def test_pivots_match_reference_kernel(self, n, dmax):

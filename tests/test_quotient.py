@@ -361,6 +361,10 @@ def transdiagonal_polynomial(rng, n, max_degree):
     return Polynomial(n, terms)
 
 
+# hypothesis examples per relation: the three relations take about 3 s in all
+RELATION_EXAMPLES = 300
+
+
 class TestRestriction:
     """Setting x_(n+1) = 0 maps J_(n+1) onto J_n and the Dyck vectors of
     length n + 1 that end in 0 onto those of length n, so
@@ -371,22 +375,28 @@ class TestRestriction:
         n = p.n - 1
         return Polynomial(n, {e[:n]: c for e, c in p.items() if not e[n]})
 
-    def check_restriction(self, n, inputs):
-        small, large = GBasis(n), GBasis(n + 1)
+    def check_restriction(self, small, large, inputs):
         for p in inputs:
             want = self.restrict(large.normal_form(p).remainder)
             assert small.normal_form(self.restrict(p)).remainder == want, p
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_restriction_commutes_with_normal_form(self, n, rng):
-        self.check_restriction(n, [random_polynomial(rng, n + 1, n + 1, 8)
-                                   for _ in range(15 if n == 7 else 30)])
+        self.check_restriction(GBasis(n), GBasis(n + 1),
+                               [random_polynomial(rng, n + 1, n + 1, 8)
+                                for _ in range(15 if n == 7 else 30)])
+
+    @settings(max_examples=RELATION_EXAMPLES)
+    @given(st.integers(2, 6).flatmap(lambda n: polynomials(n=n + 1, max_degree=n + 1)))
+    def test_hypothesis_polynomials(self, p):
+        self.check_restriction(shared_basis(p.n - 1), shared_basis(p.n), [p])
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_restriction_past_the_oracle(self, n, rng):
         # sparse inputs of low degree keep each G chain short at these widths;
         # random ones mostly land on Dyck monomials, transdiagonal ones reduce
-        self.check_restriction(n, [random_polynomial(rng, n + 1, 5, 3) for _ in range(20)]
+        self.check_restriction(GBasis(n), GBasis(n + 1),
+                               [random_polynomial(rng, n + 1, 5, 3) for _ in range(20)]
                                + [transdiagonal_polynomial(rng, n + 1, 5) for _ in range(20)])
 
 
@@ -398,13 +408,20 @@ class TestReversal:
     def reverse(p):
         return Polynomial(p.n, {e[::-1]: c for e, c in p.items()})
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_reversal_commutes_with_normal_form(self, n, rng):
-        basis = GBasis(n)
-        for _ in range(30):
-            p = random_polynomial(rng, n, max_degree=n + 1)
+    def check_reversal(self, basis, inputs):
+        for p in inputs:
             want = basis.normal_form(self.reverse(basis.normal_form(p).remainder)).remainder
             assert basis.normal_form(self.reverse(p)).remainder == want, p
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reversal_commutes_with_normal_form(self, n, rng):
+        self.check_reversal(GBasis(n), [random_polynomial(rng, n, max_degree=n + 1)
+                                        for _ in range(30)])
+
+    @settings(max_examples=RELATION_EXAMPLES)
+    @given(st.integers(2, 6).flatmap(lambda n: polynomials(n=n, max_degree=n + 1)))
+    def test_hypothesis_polynomials(self, p):
+        self.check_reversal(shared_basis(p.n), [p])
 
 
 class TestProduct:
@@ -412,8 +429,7 @@ class TestProduct:
     onto the quotient: N(pq) = N(N(p) N(q))."""
 
     @staticmethod
-    def check_products(n, pairs):
-        basis = GBasis(n)
+    def check_products(basis, pairs):
         for p, q in pairs:
             want = basis.normal_form(basis.normal_form(p).remainder
                                      * basis.normal_form(q).remainder).remainder
@@ -421,13 +437,19 @@ class TestProduct:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_normal_form_respects_products(self, n, rng):
-        self.check_products(n, [(random_polynomial(rng, n, 3, 4), random_polynomial(rng, n, 3, 4))
-                                for _ in range(30)])
+        self.check_products(GBasis(n), [(random_polynomial(rng, n, 3, 4),
+                                         random_polynomial(rng, n, 3, 4)) for _ in range(30)])
+
+    @settings(max_examples=RELATION_EXAMPLES)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(polynomials(n=n, max_degree=3),
+                                                         polynomials(n=n, max_degree=3))))
+    def test_hypothesis_polynomials(self, pair):
+        self.check_products(shared_basis(pair[0].n), [pair])
 
     @pytest.mark.parametrize("n", range(9, 13))
     def test_products_past_the_oracle(self, n, rng):
-        self.check_products(n, [(random_polynomial(rng, n, 2, 2), random_polynomial(rng, n, 2, 2))
-                                for _ in range(20)]
+        self.check_products(GBasis(n), [(random_polynomial(rng, n, 2, 2),
+                                         random_polynomial(rng, n, 2, 2)) for _ in range(20)]
                             + [(transdiagonal_polynomial(rng, n, 3),
                                 transdiagonal_polynomial(rng, n, 2)) for _ in range(20)])
 
