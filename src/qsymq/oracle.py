@@ -11,6 +11,22 @@ Only the rows X^mu * M_(1) and, for L != (1), the x1-free rows (mu_1 = 0)
 are eliminated.  They still span: x1 = M_(1) - (x2 + ... + xn) writes a row
 with mu_1 > 0 as multiples of M_(1) plus rows with a smaller mu_1; induct.
 
+The rows come in the order (|L|, L, mu), the columns in descending graded
+lex, and the first two blocks reach echelon form with every lead 1.  Block
+1, the X^nu * M_(1), pivots every column divisible by x1.  Block 2, the
+x1-free X^mu * M_(2), reduced by block 1 (x1 := -(x2 + ... + xn)) is
+X^mu * 2 h_2(x2, ..., xn) and pivots every x1-free column divisible by x2^2.
+These columns are a prefix, so a later row is first reduced modulo blocks
+1-2 alone, to R(row), its unique representative free of x1 and x2^2.  In
+every degree blocks 1-2 span the ideal (M_(1), M_(2)) and the monomials
+free of x1 and x2^2 span a complement; multiplying by a monomial X^m in
+x3..xn maps each into itself, so R(X^m * f) = X^m * R(f).  The rows of a
+family (L, mu_2) differ only in such an X^m and are consecutive: the first
+is reduced modulo blocks 1-2, and the others are that result, shifted.
+From R(row) the reduction goes on as it would from the raw row, so every
+stored row, the unique primitive one with a positive lead, is what the raw
+rows give.
+
 No G element is used, and the supports of the M_L are listed here, so the
 oracle shares only ``combinat`` with the G construction.  The slice's rank
 over Q, computed by fraction-free integer elimination on sparse rows
@@ -105,14 +121,6 @@ class IntegerRowSpace:
         self.pivots[col] = {c: x // g for c, x in row.items()}
         return True
 
-    def add_until_full(self, rows) -> "IntegerRowSpace":
-        """Add rows in order, stopping once the rank reaches ``ncols``."""
-        for row in rows:
-            if self.rank == self.ncols:
-                break
-            self.add(row)
-        return self
-
     def contains(self, row) -> bool:
         return not self.reduce(row)
 
@@ -157,27 +165,44 @@ def slice_generators(n: int, d: int):
     return out
 
 
-def _generator_rows(n: int, d: int, index):
-    """The rows X^mu * M_alpha of ``slice_generators``, all coefficients 1.
-    An exponent vector of degree <= d is coded by its entries as base-(d+1)
-    digits, so the code of a product of monomials is the sum of their codes."""
+@cache
+def _slice(n: int, d: int) -> tuple[IntegerRowSpace, dict]:
+    """The eliminated degree-d slice and its column index {exps: column}: the
+    rows of ``slice_generators``, each family (L, mu_2) with |L| >= 3 as its
+    first row reduced modulo blocks 1-2 and then shifted (module docstring)."""
+    _check_oracle_caps(n, d)
+    index = {exps: i for i, exps in enumerate(degree_columns(n, d))}
+    # an exponent vector of degree <= d is coded by its entries as base-(d+1)
+    # digits, so the code of a product of monomials is the sum of their codes
     weights = [(d + 1) ** (n - 1 - i) for i in range(n)]
     column = {sum(map(mul, exps, weights)): col for exps, col in index.items()}
+    codes = list(column)  # column -> code
+    space = IntegerRowSpace(len(index))
     supports = {}  # alpha -> the codes of the support of M_alpha, once per slice
+    head = family = pattern = None  # blocks 1-2; the family (L, mu_2) and R(row)
     for mu, alpha in slice_generators(n, d):
+        if space.rank == space.ncols:
+            break
         if alpha not in supports:
             supports[alpha] = [sum(map(mul, alpha, place))
                                for place in combinations(weights, len(alpha))]
         shift = sum(map(mul, mu, weights))
-        yield dict.fromkeys((column[shift + code] for code in supports[alpha]), 1)
-
-
-@cache
-def _slice(n: int, d: int) -> tuple[IntegerRowSpace, dict]:
-    """The eliminated degree-d slice and its column index {exps: column}."""
-    _check_oracle_caps(n, d)
-    index = {exps: i for i, exps in enumerate(degree_columns(n, d))}
-    return IntegerRowSpace(len(index)).add_until_full(_generator_rows(n, d, index)), index
+        if family == (alpha, mu[:2]):
+            space.add({column[shift + code]: x for code, x in pattern})
+            continue
+        row = dict.fromkeys((column[shift + code] for code in supports[alpha]), 1)
+        if alpha == (1,):  # lead x1 * X^mu, no pivot yet: stored as it is
+            space.pivots[min(row)] = row
+        elif alpha == (2,):
+            space.add(row)
+        else:  # a family's first row
+            if head is None:
+                head = IntegerRowSpace(space.ncols)
+                head.pivots = dict(space.pivots)
+            family, row = (alpha, mu[:2]), head.reduce(row)
+            pattern = [(codes[col] - shift, x) for col, x in row.items()]
+            space.add(row)
+    return space, index
 
 
 def ideal_degree_rank(n: int, d: int) -> int:

@@ -255,17 +255,6 @@ def run_cli(capsys, *argv):
 
 
 class TestSubcommands:
-    def test_basis_listing(self, capsys):
-        code, out, _ = run_cli(capsys, "basis", "-n", "2")
-        assert code == 0
-        assert out.splitlines() == ["0,0", "0,1"]
-
-    def test_basis_paths_and_filter(self, capsys):
-        code, out, _ = run_cli(capsys, "basis", "-n", "3", "-k", "2", "--paths")
-        assert code == 0
-        assert out.splitlines()[0] in {"0,0,2", "0,1,1"}
-        assert "|" in out
-
     def test_gbasis_expansion(self, capsys):
         code, out, _ = run_cli(capsys, "gbasis", "-n", "4", "--vector", "1,0,2")
         assert code == 0
@@ -273,11 +262,6 @@ class TestSubcommands:
         assert first == ("x1*x3^2 + x1*x3*x4 + x1*x4^2 - x2^2*x3 - x2^2*x4 "
                          "+ x2*x3^2 + x2*x4^2 + x3*x4^2")
         assert "leading monomial: x1*x3^2" in out
-
-    def test_gbasis_rejects_dyck_vector(self, capsys):
-        code, _, err = run_cli(capsys, "gbasis", "-n", "2", "--vector", "0,1")
-        assert code == 1
-        assert "Dyck" in err
 
     def test_reduce_with_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "-n", "2", "--expr", "x1",

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations, combinations_with_replacement
 from math import gcd
+from operator import mul
 from time import perf_counter
 
 import pytest
@@ -20,7 +22,6 @@ from qsymq.combinat import (
 from qsymq.oracle import (
     IntegerRowSpace,
     _check_oracle_caps,
-    _generator_rows,
     _slice,
     degree_columns,
     generating_function_check,
@@ -42,6 +43,68 @@ def staircase_holds(n, d):
     space, index = _slice(n, d)
     pivots = {exps for exps, col in index.items() if col in space.pivots}
     return pivots == {exps for exps in index if not is_dyck(exps)}
+
+
+def add_until_full(space, rows):
+    """Add rows in order, stopping once the rank reaches ``ncols``."""
+    for row in rows:
+        if space.rank == space.ncols:
+            break
+        space.add(row)
+    return space
+
+
+def coded_generator_rows(n, d, index):
+    """The raw rows X^mu * M_alpha of ``slice_generators``, all coefficients
+    1, before any reduction.  An exponent vector of degree <= d is coded by
+    its entries as base-(d+1) digits, so the code of a product of monomials
+    is the sum of their codes."""
+    weights = [(d + 1) ** (n - 1 - i) for i in range(n)]
+    column = {sum(map(mul, exps, weights)): col for exps, col in index.items()}
+    for mu, alpha in slice_generators(n, d):
+        shift = sum(map(mul, mu, weights))
+        yield dict.fromkeys((column[shift + sum(map(mul, alpha, place))]
+                             for place in combinations(weights, len(alpha))), 1)
+
+
+def head_row(exps, index):
+    """The row that blocks 1-2 store at a column divisible by x1 or x2^2:
+    X^nu * M_(1) with lead x1 * X^nu, else X^mu * h_2(x2, ..., xn) with lead
+    x2^2 * X^mu; all coefficients 1."""
+    n, base = len(exps), list(exps)
+    if exps[0]:
+        base[0] -= 1
+        parts = [(i,) for i in range(n)]
+    else:
+        base[1] -= 2
+        parts = combinations_with_replacement(range(1, n), 2)
+    row = {}
+    for part in parts:
+        term = base[:]
+        for i in part:
+            term[i] += 1
+        row[index[tuple(term)]] = 1
+    return row
+
+
+def back_substituted(space):
+    """Each pivot row with every other pivot column cleared, fraction-free
+    and primitive, as {pivot column: row}: a row keeps its own pivot and
+    non-pivot columns only."""
+    done = {}
+    for pcol in sorted(space.pivots, reverse=True):  # a row's pivots lie right of its own
+        row = dict(space.pivots[pcol])
+        for col in [c for c in row if c != pcol and c in space.pivots]:
+            x, other = row.pop(col), done[col]
+            lead = other[col]
+            row = {c: y * lead for c, y in row.items()}
+            for c, b in other.items():
+                if c != col:
+                    row[c] = row.get(c, 0) - x * b
+            g = gcd(*row.values())
+            row = {c: y // g for c, y in row.items() if y}
+        done[pcol] = row
+    return done
 
 
 HILBERT_TABLE = {
@@ -238,7 +301,7 @@ class TestRank:
     def test_fraction_free_matches_rational(self, matrix):
         ncols, rows = matrix
         sparse = [dict(enumerate(row)) for row in rows]
-        assert (IntegerRowSpace(ncols).add_until_full(sparse).rank
+        assert (add_until_full(IntegerRowSpace(ncols), sparse).rank
                 == rational_rank(rows, ncols))
 
     @given(matrices(), st.lists(st.integers(-3, 3), min_size=10, max_size=10),
@@ -354,13 +417,57 @@ class TestDegreeSlices:
                 assert space.rank == ideal_degree_rank(n, d), (n, d)
 
     def test_generator_rows_match_products(self):
-        # the oracle codes M_alpha's support itself; the products use qsym's
+        # the raw rows the kernel references eliminate are coded as the
+        # oracle codes them; the products use qsym's M_alpha
         slices = [(n, d) for n in range(1, 6) for d in range(n + 1)]
         for n, d in slices + [(6, d) for d in range(8)] + [(7, 6)]:
             index = {e: i for i, e in enumerate(degree_columns(n, d))}
             expected = [generator_row(n, index, mu, alpha)
                         for mu, alpha in slice_generators(n, d)]
-            assert list(_generator_rows(n, d, index)) == expected, (n, d)
+            assert list(coded_generator_rows(n, d, index)) == expected, (n, d)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_blocks_one_and_two_pivot_a_prefix(self, n):
+        # the raw |L| <= 2 rows pivot exactly the columns divisible by x1 or
+        # x2^2, a prefix, with the rows of the module docstring; the slice
+        # keeps those rows (the (7, 8) slice itself is too slow for tier-1)
+        for d in range(n + 2):
+            index = {e: i for i, e in enumerate(degree_columns(n, d))}
+            head = IntegerRowSpace(len(index))
+            for (mu, alpha), row in zip(slice_generators(n, d),
+                                        coded_generator_rows(n, d, index)):
+                if sum(alpha) <= 2:
+                    head.add(row)
+            prefix = {e: col for e, col in index.items() if e[0] or e[1:2] >= (2,)}
+            assert set(head.pivots) == set(range(len(prefix))) == set(prefix.values())
+            assert head.pivots == {col: head_row(e, index) for e, col in prefix.items()}
+            if (n, d) != (7, 8):
+                space = _slice(n, d)[0]
+                assert {col: space.pivots[col] for col in head.pivots} == head.pivots
+
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_later_rows_arrive_reduced(self, monkeypatch, n):
+        # the slice adds each |L| >= 3 row free of x1 and x2^2, the columns
+        # blocks 1-2 pivot: shifting commutes with reduction modulo blocks
+        # 1-2 by x3..xn only, so a family keyed by L alone fails this
+        added = []
+
+        class Recording(IntegerRowSpace):
+            def add(self, row):
+                added.append(row)
+                return super().add(row)
+
+        monkeypatch.setattr(oracle, "IntegerRowSpace", Recording)
+        later = 0
+        for d in range(min(n + 2, 7)):
+            added.clear()
+            index = _slice(n, d)[1]
+            prefix = sum(1 for e in index if e[0] or e[1:2] >= (2,))
+            early = [min(row, default=prefix) < prefix for row in added]
+            assert early == sorted(early, reverse=True), (n, d)  # blocks 1-2 first
+            later += early.count(False)
+        assert later or n < 3
 
     @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)]
                              + [(7, 6), pytest.param(8, 7, marks=pytest.mark.slow)])
@@ -369,7 +476,7 @@ class TestDegreeSlices:
         for d in range(dmax + 1):
             space, index = _slice(n, d)
             previous = PreviousRowSpace(len(index))
-            for row in _generator_rows(n, d, index):
+            for row in coded_generator_rows(n, d, index):
                 if len(previous.pivots) == len(index):
                     break
                 previous.add(row)
@@ -447,7 +554,7 @@ class TestLyndonGenerators:
     def test_pivots_match_full_generator_set(self, n, dmax):
         for d in range(dmax + 1):
             space, index = _slice(n, d)
-            full = IntegerRowSpace(len(index)).add_until_full(full_generator_rows(n, d, index))
+            full = add_until_full(IntegerRowSpace(len(index)), full_generator_rows(n, d, index))
             assert set(space.pivots) == set(full.pivots), (n, d)
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -509,6 +616,27 @@ class TestRowSpaceMembership:
             reduced = p - normal_form(p).remainder
             for part in homogeneous_components(reduced).values():
                 assert row_space_member(part), p
+
+
+class TestEchelonRemainders:
+    """Back-substituting a slice's pivot rows turns the row at each
+    transdiagonal eps into X^eps - N(X^eps), N the normal form: the reduced
+    Groebner basis, from elimination alone.  By linearity this checks the
+    remainder of every polynomial of that degree."""
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 7) for d in range(n)]
+                             + [(7, d) for d in range(6)]
+                             + [pytest.param(7, 6, marks=pytest.mark.slow)])
+    def test_remainders_match_normal_form(self, n, d):
+        space, index = _slice(n, d)
+        exps_of = {col: exps for exps, col in index.items()}
+        rows = back_substituted(space)
+        for eps, col in index.items():
+            if not is_dyck(eps):
+                row = dict(rows[col])
+                lead = row.pop(col)
+                expected = Polynomial(n, {exps_of[c]: Fraction(-y, lead) for c, y in row.items()})
+                assert normal_form(Polynomial.monomial(n, eps)).remainder == expected, eps
 
 
 class TestHilbertSeries:
