@@ -7,9 +7,17 @@ on these M_L (Hoffman, "Quasi-shuffle products", J. Algebraic Combin. 11,
 variables is a surjective algebra map, and an ideal generated by the
 positive part of an algebra is generated by its algebra generators.
 
-Only the rows X^mu * M_(1) and, for L != (1), the x1-free rows (mu_1 = 0)
-are eliminated.  They still span: x1 = M_(1) - (x2 + ... + xn) writes a row
-with mu_1 > 0 as multiples of M_(1) plus rows with a smaller mu_1; induct.
+Only the rows with mu_j < j for every j < |L| are eliminated: every
+X^mu * M_(1), the x1-free X^mu * M_(2), and so on; the others reduce to
+zero.  Take mu_j >= j with j < |L|.  The polynomial h_j(x_j, ..., xn) is
+x_j^j plus terms of lower degree in x_j, and it equals the sum over
+i = 1..j of (-1)^(i+1) e_i(x1..xn) h_(j-i)(x_j..xn), where e_i = M_(1^i)
+is a polynomial in the M_L with |L| <= i (for j = 1: x1 = M_(1) - (x2 +
+... + xn)).  Replacing x_j^j in X^mu by the rest of h_j writes X^mu * M_L
+as rows of earlier blocks plus rows X^nu * M_L with nu equal to mu before
+coordinate j and smaller at j, so earlier in the ascending lex order of
+mu.  By induction on (|L|, mu), each dropped row lies in the span of the
+rows before it, so dropping it changes no stored row.
 
 The rows come in the order (|L|, L, mu), the columns in descending graded
 lex, and the first two blocks reach echelon form with every lead 1.  Block
@@ -154,14 +162,14 @@ def is_lyndon(alpha) -> bool:
 
 def slice_generators(n: int, d: int):
     """(mu, L) labels of the generators X^mu * M_L of the degree-d slice, L
-    Lyndon, with mu_1 = 0 unless L = (1), sorted by (|L|, L, mu).  They span
-    it (see the module docstring)."""
+    Lyndon, with mu_j < j for every j < |L|, sorted by (|L|, L, mu).  They
+    span it (see the module docstring)."""
     out = []
     for a in range(1, d + 1):
+        mus = [mu for mu in vectors_of_degree(n, d - a)
+               if all(m < j for j, m in enumerate(mu[:a - 1], 1))]
         for alpha in sorted(filter(is_lyndon, refinements((a,), n))):
-            for mu in vectors_of_degree(n, d - a):
-                if not mu[0] or alpha == (1,):
-                    out.append((mu, alpha))
+            out.extend((mu, alpha) for mu in mus)
     return out
 
 

@@ -255,23 +255,6 @@ def run_cli(capsys, *argv):
 
 
 class TestSubcommands:
-    def test_gbasis_expansion(self, capsys):
-        code, out, _ = run_cli(capsys, "gbasis", "-n", "4", "--vector", "1,0,2")
-        assert code == 0
-        first = out.splitlines()[0]
-        assert first == ("x1*x3^2 + x1*x3*x4 + x1*x4^2 - x2^2*x3 - x2^2*x4 "
-                         "+ x2*x3^2 + x2*x4^2 + x3*x4^2")
-        assert "leading monomial: x1*x3^2" in out
-
-    def test_reduce_with_certificate(self, capsys):
-        code, out, _ = run_cli(capsys, "reduce", "-n", "2", "--expr", "x1",
-                               "--certificate")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "-x2"
-        assert lines[1] == "certificate:"
-        assert lines[2].strip() == "1 * G_1,0"
-
     def test_reduce_from_file(self, tmp_path, capsys):
         source = tmp_path / "input.txt"
         source.write_text("x2^2\n")
@@ -430,10 +413,6 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("parse error:")
         assert err.endswith(f"(at position {position})\n")
-
-    def test_reduce_missing_file(self, capsys):
-        code = main(["reduce", "-n", "2", "--file", "/no/such/file"])
-        assert code == 1
 
 
 class TestStartup:

@@ -51,6 +51,11 @@ GOLDEN = [
     (["hilbert", "-n", "3", "--method", "oracle", "--report", "--json"], 0,
      '{"n": 3, "operation": "hilbert", "method": "oracle", "series": [1, 2, 2], "report": [{"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1}, {"degree": 1, "columns": 3, "generator_rows": 1, "rank": 1, "dimension": 2}, {"degree": 2, "columns": 6, "generator_rows": 4, "rank": 4, "dimension": 2}]}\n',
      ""),
+    # generator_rows counts the rows kept under mu_j < j for j < |L|: 330 and 793
+    # at degrees 5 and 6, while the ranks are 330 and 792
+    (["hilbert", "-n", "7", "--method", "oracle", "--report", "--json"], 0,
+     '{"n": 7, "operation": "hilbert", "method": "oracle", "series": [1, 6, 20, 48, 90, 132, 132], "report": [{"degree": 0, "columns": 1, "generator_rows": 0, "rank": 0, "dimension": 1}, {"degree": 1, "columns": 7, "generator_rows": 1, "rank": 1, "dimension": 6}, {"degree": 2, "columns": 28, "generator_rows": 8, "rank": 8, "dimension": 20}, {"degree": 3, "columns": 84, "generator_rows": 36, "rank": 36, "dimension": 48}, {"degree": 4, "columns": 210, "generator_rows": 120, "rank": 120, "dimension": 90}, {"degree": 5, "columns": 462, "generator_rows": 330, "rank": 330, "dimension": 132}, {"degree": 6, "columns": 924, "generator_rows": 793, "rank": 792, "dimension": 132}]}\n',
+     ""),
     (["hilbert", "-n", "3", "--method", "enum", "--report"], 1,
      "",
      "error: --report needs --method oracle, got --method enum\n"),

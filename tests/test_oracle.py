@@ -54,14 +54,14 @@ def add_until_full(space, rows):
     return space
 
 
-def coded_generator_rows(n, d, index):
-    """The raw rows X^mu * M_alpha of ``slice_generators``, all coefficients
-    1, before any reduction.  An exponent vector of degree <= d is coded by
-    its entries as base-(d+1) digits, so the code of a product of monomials
-    is the sum of their codes."""
+def coded_generator_rows(n, d, index, labels=None):
+    """The raw rows X^mu * M_alpha of ``labels`` (default: those of
+    ``slice_generators``), all coefficients 1, before any reduction.  An
+    exponent vector of degree <= d is coded by its entries as base-(d+1)
+    digits, so the code of a product of monomials is the sum of their codes."""
     weights = [(d + 1) ** (n - 1 - i) for i in range(n)]
     column = {sum(map(mul, exps, weights)): col for exps, col in index.items()}
-    for mu, alpha in slice_generators(n, d):
+    for mu, alpha in slice_generators(n, d) if labels is None else labels:
         shift = sum(map(mul, mu, weights))
         yield dict.fromkeys((column[shift + sum(map(mul, alpha, place))]
                              for place in combinations(weights, len(alpha))), 1)
@@ -259,6 +259,19 @@ def lyndon_slice_generators(n: int, d: int):
     """The Lyndon rows without the x1 filter, kept as the reference: every
     X^mu * M_L with L Lyndon, sorted by (|L|, L, mu)."""
     return [(mu, alpha) for mu, alpha in full_slice_generators(n, d) if is_lyndon(alpha)]
+
+
+def x1_free_slice_generators(n: int, d: int):
+    """The rows of the previous rule, kept as the reference: every
+    X^mu * M_(1) and every x1-free X^mu * M_L, L Lyndon, sorted by (|L|, L, mu)."""
+    return [(mu, alpha) for mu, alpha in lyndon_slice_generators(n, d)
+            if alpha == (1,) or not mu[0]]
+
+
+def under_staircase(mu, alpha) -> bool:
+    """The rule of ``slice_generators``, restated: the 1-based coordinate j
+    of mu is below j for each j < |alpha| that mu has."""
+    return all(mu[j - 1] < j for j in range(1, min(sum(alpha), len(mu) + 1)))
 
 
 def full_generator_rows(n, d, index):
@@ -512,7 +525,7 @@ class TestDegreeSlices:
 
 class TestLyndonGenerators:
     """The slices are eliminated over the X^mu * M_L with L Lyndon only, and
-    mu_1 = 0 unless L = (1); the full generator set is the reference."""
+    mu_j < j for every j < |L|; the full generator set is the reference."""
 
     COMPOSITIONS = {m: sorted(refinements((m,), m)) for m in range(1, 13)}
 
@@ -539,16 +552,55 @@ class TestLyndonGenerators:
         assert series[1:] == [2 ** (m - 1) for m in range(1, 13)]
 
     def test_rows_are_the_x1_free_lyndon_subset_in_order(self):
-        for n in range(1, 6):
+        # the Lyndon rows with mu_j < j for every j < |L|, a subset of the x1-free ones
+        for n in range(1, 7):
             for d in range(n + 2):
                 assert slice_generators(n, d) == [
                     (mu, alpha) for mu, alpha in full_slice_generators(n, d)
-                    if is_lyndon(alpha) and (alpha == (1,) or mu[0] == 0)], (n, d)
+                    if is_lyndon(alpha) and under_staircase(mu, alpha)], (n, d)
 
     def test_row_count(self):
-        # 808 of the 975 Lyndon rows at (7, 6), whose rank is 792
+        # at (7, 6): 975 Lyndon rows, 808 of them x1-free, 793 kept; rank 792
         assert len(lyndon_slice_generators(7, 6)) == 975
-        assert len(slice_generators(7, 6)) == 808
+        assert len(x1_free_slice_generators(7, 6)) == 808
+        assert len(slice_generators(7, 6)) == 793
+        assert ideal_degree_rank(7, 6) == 792
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_homogeneous_identity(self, n):
+        # h_j(x_j..xn) = sum over i = 1..j of (-1)^(i+1) e_i h_(j-i)(x_j..xn)
+        # with e_i = M_(1^i): x_j^j leads h_j, whence the rule
+        def h(k, j):  # h_k(x_j, ..., xn)
+            return Polynomial(n, {(0,) * (j - 1) + tail: 1
+                                  for tail in vectors_of_degree(n - j + 1, k)})
+
+        e = [Polynomial(n, {tuple(int(k in chosen) for k in range(n)): 1
+                            for chosen in combinations(range(n), i)})
+             for i in range(n + 1)]
+        for i in range(1, n + 1):
+            assert e[i] == monomial_qsym((1,) * i, n)
+        for j in range(1, n + 1):
+            expansion = Polynomial.zero(n)
+            for i in range(1, j + 1):
+                expansion = expansion + (-1) ** (i + 1) * (e[i] * h(j - i, j))
+            assert expansion == h(j, j), (n, j)
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 7) for d in range(n + 2)]
+                             + [(7, 6), pytest.param(8, 7, marks=pytest.mark.slow)])
+    def test_dropped_rows_reduce_to_zero(self, n, d):
+        # the previous rule's raw rows in order: each row the rule drops lies
+        # in the span of the rows before it, and the kept ones give the pivots
+        space, index = _slice(n, d)
+        labels = x1_free_slice_generators(n, d)
+        kept = set(slice_generators(n, d))
+        assert kept <= set(labels)
+        raw = IntegerRowSpace(len(index))
+        for label, row in zip(labels, coded_generator_rows(n, d, index, labels)):
+            if label in kept:
+                raw.add(row)
+            else:
+                assert raw.contains(row), (n, d, label)
+        assert raw.pivots == space.pivots
 
     @pytest.mark.parametrize("n, dmax", [(n, n + 1) for n in range(1, 7)] + [(7, 7)])
     def test_pivots_match_full_generator_set(self, n, dmax):
@@ -581,6 +633,18 @@ class TestLyndonGenerators:
         assert quotient_dims(3, 4) != [1, 2, 2, 0, 0]
         assert hilbert_series(4, "oracle") != hilbert_series(4, "formula")
         assert not staircase_holds(4, 2)
+
+    @pytest.mark.usefixtures("fresh_caches")
+    @pytest.mark.parametrize("rule", [
+        lambda mu, a: all(m < j for j, m in enumerate(mu[:a], 1)),  # j <= |L|
+        lambda mu, a: a < 3 or not mu[1],  # mu_2 = 0 once |L| >= 3
+    ], ids=["j-up-to-weight", "mu2-zero-from-weight-3"])
+    def test_too_strong_a_rule_is_caught(self, monkeypatch, rule):
+        rows = oracle.slice_generators
+        monkeypatch.setattr(oracle, "slice_generators", lambda n, d: [
+            (mu, alpha) for mu, alpha in rows(n, d) if rule(mu, sum(alpha))])
+        assert any(hilbert_series(n, "oracle") != hilbert_series(n, "formula")
+                   for n in range(5, 8))
 
 
 class TestRowSpaceMembership:
